@@ -2,10 +2,12 @@ package rtosmodel_test
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/psim"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -105,5 +107,27 @@ func BenchmarkParallelSoC(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRunReport measures one runner.Run with the default report
+// (statistics and constraints, no trace outputs) of the shipped sharded SoC
+// scenario: the statistics-only path, where the recorders fold statistics
+// without storing the trace and the per-shard folds merge directly. Its
+// allocs/op guard that path against per-record allocation.
+func BenchmarkRunReport(b *testing.B) {
+	data, err := os.ReadFile("examples/scenarios/soc_shards.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := runner.Run(data, runner.Options{}, "soc_shards")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.SimError != "" {
+			b.Fatal(res.SimError)
+		}
 	}
 }

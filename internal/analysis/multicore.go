@@ -43,10 +43,11 @@ func ratio(part, whole sim.Time) float64 {
 	return float64(part) / float64(whole)
 }
 
-// CoreLoads computes the per-core utilization of every multi-core processor
-// in the trace over [0, end] (end zero: the recorder's natural end). Hardware
-// tasks (no CPU) and ISR pseudo-tasks contribute nothing. The result is
-// sorted by processor name, then core id.
+// CoreLoads computes the per-core utilization of every processor in the
+// trace over [0, end] (end zero: the recorder's natural end) from the
+// recorder's per-core statistics. Hardware tasks (no CPU) and ISR
+// pseudo-tasks contribute nothing. The result is sorted by processor name,
+// then core id.
 func CoreLoads(rec *trace.Recorder, end sim.Time) []CoreLoad {
 	if rec == nil {
 		return nil
@@ -54,70 +55,12 @@ func CoreLoads(rec *trace.Recorder, end sim.Time) []CoreLoad {
 	if end == 0 {
 		end = rec.End()
 	}
-	type key struct {
-		cpu  string
-		core int
+	cores := rec.CoreStats(end)
+	out := make([]CoreLoad, len(cores))
+	for i, c := range cores {
+		out[i] = CoreLoad{CPU: c.CPU, Core: c.Core, Window: end,
+			Busy: c.Busy, Dispatches: c.Dispatches, MigrationsIn: c.MigrationsIn}
 	}
-	loads := map[key]*CoreLoad{}
-	get := func(cpu string, core int) *CoreLoad {
-		k := key{cpu, core}
-		l := loads[k]
-		if l == nil {
-			l = &CoreLoad{CPU: cpu, Core: core, Window: end}
-			loads[k] = l
-		}
-		return l
-	}
-
-	// Close each task's open Running interval at the next state change of the
-	// same task; the changes are time-ordered, so one open-interval slot per
-	// task suffices.
-	type open struct {
-		at   sim.Time
-		cpu  string
-		core int
-	}
-	running := map[string]open{}
-	for _, c := range rec.StateChanges() {
-		if c.CPU == "" || strings.HasPrefix(c.Task, "isr:") {
-			continue
-		}
-		if o, ok := running[c.Task]; ok && c.At >= o.at {
-			stop := c.At
-			if stop > end {
-				stop = end
-			}
-			if stop > o.at {
-				get(o.cpu, o.core).Busy += stop - o.at
-			}
-			delete(running, c.Task)
-		}
-		if c.State == trace.StateRunning && c.At < end {
-			running[c.Task] = open{at: c.At, cpu: c.CPU, core: c.Core}
-			get(c.CPU, c.Core).Dispatches++
-		}
-	}
-	for _, o := range running {
-		if end > o.at {
-			get(o.cpu, o.core).Busy += end - o.at
-		}
-	}
-	for _, m := range rec.Migrations() {
-		if m.At <= end {
-			get(m.CPU, m.To).MigrationsIn++
-		}
-	}
-
-	out := make([]CoreLoad, 0, len(loads))
-	for _, l := range loads {
-		out = append(out, *l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CPU != out[j].CPU {
-			return out[i].CPU < out[j].CPU
-		}
-		return out[i].Core < out[j].Core
-	})
 	return out
 }
 

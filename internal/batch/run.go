@@ -203,6 +203,7 @@ func (s *Spec) runOne(base []byte, v Variant) Result {
 		return res
 	}
 	s.apply(desc, v)
+	desc.StatsOnly = true // a variant's metrics read only the statistics
 	if v.TaskEngine != "" {
 		// Re-validate: some bodies (bus send/recv) have no continuation form,
 		// so a task-engine override can invalidate an otherwise-good scenario.

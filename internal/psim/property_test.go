@@ -103,8 +103,9 @@ func randomDAGScenario(r *rand.Rand) string {
 // for a batch of fixed seeds, a random DAG scenario run on the parallel
 // engine — both fully sharded by label and merged onto a random smaller
 // target — must agree with the sequential kernel on the end time, the finish
-// reason and every per-task and per-object trace suborder. Seeds are fixed,
-// so the test is deterministic.
+// reason and every per-task and per-object trace suborder, and a
+// statistics-only run's merged folds must give the statistics of the merged
+// stored trace. Seeds are fixed, so the test is deterministic.
 func TestRandomPartitionEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
@@ -144,7 +145,30 @@ func TestRandomPartitionEquivalence(t *testing.T) {
 				for i, bu := range res.Builts {
 					recs[i] = bu.Sys.Rec
 				}
-				diffSignatures(t, want, signature(trace.MergeRecorders(recs, res.End)))
+				merged := trace.MergeRecorders(recs, res.End)
+				diffSignatures(t, want, signature(merged))
+
+				// A statistics-only run merges the shards' folds alone; its
+				// report must equal the statistics replayed from the merged
+				// stored trace.
+				fdesc := parse(t, js)
+				fdesc.StatsOnly = true
+				fres, err := Run(fdesc, plan)
+				if err != nil || fres.Err != nil {
+					t.Fatalf("statistics-only parallel run (target %d): %v %v", target, err, fres.Err)
+				}
+				frecs := make([]*trace.Recorder, len(fres.Builts))
+				for i, bu := range fres.Builts {
+					frecs[i] = bu.Sys.Rec
+				}
+				folded := trace.MergeRecorders(frecs, fres.End)
+				if folded.Stores() {
+					t.Fatalf("target %d: statistics-only shards stored their traces", target)
+				}
+				if got, want := folded.ComputeStats(0).String(), merged.ReplayStats(0).String(); got != want {
+					t.Fatalf("target %d: merged-fold statistics differ from the merged trace's\n--- fold ---\n%s\n--- trace ---\n%s\nscenario: %s",
+						target, got, want, js)
+				}
 			}
 		})
 	}

@@ -15,7 +15,9 @@ import (
 type System struct {
 	// K is the discrete-event kernel driving the simulation.
 	K *sim.Kernel
-	// Rec records the execution trace (timeline, overheads, statistics).
+	// Rec records the execution trace (timeline, overheads, statistics):
+	// it folds the statistics online and, unless told otherwise with
+	// Rec.SetStore(false), stores the records the renderers read.
 	Rec *trace.Recorder
 	// Constraints verifies timing constraints during the simulation (the
 	// paper's section 6 "automatic verification of timing constraints by

@@ -308,10 +308,30 @@ type runView struct {
 	abortedJobs int
 }
 
+// storesTrace reports whether an output the options request reads the
+// stored trace records. The default report, the fault report and the
+// metrics/prom artifacts read only the statistics fold and fault events.
+func storesTrace(opts Options) bool {
+	if opts.Timeline || opts.Chronology {
+		return true
+	}
+	for _, a := range opts.Artifacts {
+		switch a {
+		case "csv", "vcd", "json", "svg", "perfetto":
+			return true
+		}
+	}
+	return false
+}
+
 // execute runs the scenario on the engine the options select: the in-process
 // sequential kernel by default, the sharded parallel engine when -shards is
-// given or the scenario carries shard labels.
+// given or the scenario carries shard labels. Every system it builds stores
+// the trace only when a requested output reads it.
 func execute(desc *scenario.System, opts Options) (*runView, error) {
+	d := *desc
+	d.StatsOnly = !storesTrace(opts)
+	desc = &d
 	if opts.Shards == 0 && !desc.HasShardLabels() {
 		return executeSequential(desc)
 	}

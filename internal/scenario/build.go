@@ -68,10 +68,10 @@ type CrossHooks struct {
 
 // shardFilter restricts elaboration to one shard of a partition plan.
 type shardFilter struct {
-	procs, hardware                                                  map[string]bool
+	procs, hardware                                                      map[string]bool
 	events, queues, shared, constraints, servers, irqs, watchdogs, buses map[string]bool
-	chanLocal, chanOut, chanIn                                       map[string]bool
-	hooks                                                            *CrossHooks
+	chanLocal, chanOut, chanIn                                           map[string]bool
+	hooks                                                                *CrossHooks
 }
 
 // Build elaborates the description into a simulation-ready system.
@@ -154,6 +154,7 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		Watchdogs:    map[string]*rtos.Watchdog{},
 		traceCursors: map[string]int{},
 	}
+	b.Sys.Rec.SetStore(!s.StatsOnly)
 	if f != nil {
 		b.xsend = map[string]func(comm.Actor, int){}
 		b.xrecv = map[string]*comm.Queue[int]{}

@@ -118,6 +118,13 @@ type System struct {
 	// Explore parameterizes schedule-space exploration (rtossim explore,
 	// package explore); plain simulation runs ignore it.
 	Explore *ExploreSpec `json:"explore,omitempty"`
+
+	// StatsOnly makes Build and BuildShard give the system a recorder that
+	// folds statistics without storing the trace (see trace.SetStore). It
+	// is set by callers whose outputs read only aggregates; it changes no
+	// simulated behaviour and no report, so it is not part of the scenario
+	// format or its hash.
+	StatsOnly bool `json:"-"`
 }
 
 // ExploreSpec bounds and parameterizes schedule-space exploration: which

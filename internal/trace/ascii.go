@@ -30,6 +30,7 @@ func (r *Recorder) RenderTimeline(opts TimelineOptions) string {
 	if r == nil {
 		return ""
 	}
+	r.mustStore("RenderTimeline")
 	end := opts.End
 	if end == 0 {
 		end = r.End()
@@ -165,6 +166,7 @@ func (r *Recorder) RenderChronology() string {
 	if r == nil {
 		return ""
 	}
+	r.mustStore("RenderChronology")
 	type line struct {
 		at   sim.Time
 		seq  int

@@ -76,6 +76,9 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	if err := r.needStored("WriteJSON"); err != nil {
+		return err
+	}
 	out := jsonTrace{Tasks: r.Tasks(), Objects: r.Objects()}
 	for i := range r.changes {
 		c := &r.changes[i]
@@ -128,6 +131,9 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	if err := r.needStored("WriteCSV"); err != nil {
+		return err
+	}
 	if _, err := fmt.Fprintln(w, "kind,at_ps,who,what,detail,start_ps,end_ps"); err != nil {
 		return err
 	}
@@ -173,6 +179,9 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 func (r *Recorder) WriteVCD(w io.Writer) error {
 	if r == nil {
 		return nil
+	}
+	if err := r.needStored("WriteVCD"); err != nil {
+		return err
 	}
 	tasks := r.Tasks()
 	objects := r.Objects()

@@ -6,15 +6,35 @@ import (
 	"repro/internal/sim"
 )
 
-// MergeRecorders interleaves the per-shard trace recorders of a parallel run
-// into one chronological recorder for rendering, as if a single recorder had
-// observed the whole system. end becomes the merged recorder's clock value
-// (the aggregate simulated end time). Each category merges by timestamp with
-// ties kept in shard order; task and object first-appearance orders are
-// re-derived from the merged streams, so rendering is deterministic for a
-// given shard assignment.
+// MergeRecorders combines the per-shard trace recorders of a parallel run
+// into one recorder, as if a single recorder had observed the whole system.
+// end becomes the merged recorder's clock value (the aggregate simulated end
+// time). The statistics folds merge directly; task and object
+// first-appearance orders are those of a time-ordered merge of the shards'
+// records, ties in shard order, so rendering is deterministic for a given
+// shard assignment. The stored streams are merged the same way (stable by
+// timestamp) when every shard stored them; fault events always are. The
+// inputs are per-shard recorders: a merged recorder does not keep what a
+// second merge would need to order its objects.
 func MergeRecorders(recs []*Recorder, end sim.Time) *Recorder {
-	out := NewRecorder(func() sim.Time { return end })
+	out := &Recorder{now: func() sim.Time { return end }, store: true}
+	var folds []*fold
+	for _, r := range recs {
+		if r == nil {
+			continue
+		}
+		folds = append(folds, &r.fold)
+		out.store = out.store && r.store
+		out.faults = append(out.faults, r.faults...)
+		out.dropped += r.dropped
+	}
+	out.fold = mergeFolds(folds)
+	// Per-shard streams are already chronological; a stable sort by
+	// timestamp interleaves them while keeping shard order on ties.
+	sort.SliceStable(out.faults, func(i, j int) bool { return out.faults[i].At < out.faults[j].At })
+	if !out.store {
+		return out
+	}
 	for _, r := range recs {
 		if r == nil {
 			continue
@@ -23,35 +43,12 @@ func MergeRecorders(recs []*Recorder, end sim.Time) *Recorder {
 		out.overheads = append(out.overheads, r.overheads...)
 		out.accesses = append(out.accesses, r.accesses...)
 		out.depths = append(out.depths, r.depths...)
-		out.faults = append(out.faults, r.faults...)
 		out.migrations = append(out.migrations, r.migrations...)
-		out.dropped += r.dropped
 	}
-	// Per-shard streams are already chronological; a stable sort by
-	// timestamp interleaves them while keeping shard order on ties.
 	sort.SliceStable(out.changes, func(i, j int) bool { return out.changes[i].At < out.changes[j].At })
 	sort.SliceStable(out.overheads, func(i, j int) bool { return out.overheads[i].Start < out.overheads[j].Start })
 	sort.SliceStable(out.accesses, func(i, j int) bool { return out.accesses[i].At < out.accesses[j].At })
 	sort.SliceStable(out.depths, func(i, j int) bool { return out.depths[i].At < out.depths[j].At })
-	sort.SliceStable(out.faults, func(i, j int) bool { return out.faults[i].At < out.faults[j].At })
 	sort.SliceStable(out.migrations, func(i, j int) bool { return out.migrations[i].At < out.migrations[j].At })
-
-	for _, c := range out.changes {
-		out.noteTask(c.Task)
-	}
-	// Objects are noted by both accesses and depth samples; walk the two
-	// merged streams in tandem so first-appearance order follows the trace
-	// (depth samples win ties: relations record their initial depth at
-	// creation, before anything accesses them).
-	ai, di := 0, 0
-	for ai < len(out.accesses) || di < len(out.depths) {
-		if di < len(out.depths) && (ai >= len(out.accesses) || out.depths[di].At <= out.accesses[ai].At) {
-			out.noteObject(out.depths[di].Object)
-			di++
-			continue
-		}
-		out.noteObject(out.accesses[ai].Object)
-		ai++
-	}
 	return out
 }

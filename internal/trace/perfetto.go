@@ -145,6 +145,9 @@ func (b *perfettoBuilder) instant(name, cat string, pid, tid int, at sim.Time, a
 // WritePerfetto writes the trace in the Chrome trace_event JSON format. A nil
 // recorder writes a valid empty trace.
 func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
+	if err := r.needStored("WritePerfetto"); err != nil {
+		return err
+	}
 	b := newPerfettoBuilder()
 	var end sim.Time
 	var taskCPU map[string]lastPlace

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -68,19 +70,33 @@ type FaultRecord struct {
 	Detail string
 }
 
-// Recorder accumulates the execution trace of a simulated system. All
-// methods are safe to call on a nil Recorder (they do nothing), so model
-// code can trace unconditionally and tracing is zero-cost when disabled.
+// Recorder observes the execution of a simulated system. As records arrive
+// it folds them into running statistics (per-task state times, per-core and
+// per-processor load, per-object occupancy and access counts), so
+// ComputeStats, CoreStats, Tasks, Objects and End answer without a pass over
+// the trace. Storing the record streams themselves is a separate choice:
+// NewRecorder stores them (timelines, chronologies, exporters, Signature and
+// ComputeStats over an earlier window read them); SetStore(false) keeps only
+// the fold, so a run that reports aggregates allocates nothing per record.
+// Fault events are always stored: they are few and the fault report reads
+// them.
+//
+// All methods are safe to call on a nil Recorder (they do nothing), so model
+// code can trace unconditionally; a system built without a recorder records
+// nothing and pays one nil check per call site.
 //
 // A Recorder is bound to a simulation clock at construction; record methods
 // timestamp with the current simulated time.
 //
-// By default the trace grows without bound with the simulation. Long-running
-// simulations that only need the recent past (or only the statistics) can
-// cap it with SetLimit; Reserve pre-sizes the buffers so a simulation of a
-// known magnitude records without growth reallocations.
+// By default the stored trace grows without bound with the simulation.
+// Long-running simulations that only need the recent past can cap it with
+// SetLimit; Reserve pre-sizes the buffers so a simulation of a known
+// magnitude records without growth reallocations.
 type Recorder struct {
 	now func() sim.Time
+	// store keeps the record streams below (faults excepted: they are
+	// stored regardless).
+	store bool
 
 	changes    []StateChange
 	overheads  []OverheadSegment
@@ -94,27 +110,57 @@ type Recorder struct {
 	limit   int
 	dropped uint64
 
-	tasks   []string
-	taskSet map[string]bool
-	objects []string
-	objSet  map[string]bool
+	fold
 }
 
 // NewRecorder creates a recorder reading timestamps from now (typically
-// kernel.Now).
+// kernel.Now). It stores the trace; see SetStore.
 func NewRecorder(now func() sim.Time) *Recorder {
-	return &Recorder{
-		now:     now,
-		taskSet: make(map[string]bool),
-		objSet:  make(map[string]bool),
+	return &Recorder{now: now, store: true, fold: newFold()}
+}
+
+// SetStore turns storage of the record streams on or off. With storage off
+// the recorder keeps only the statistics fold (and fault events); every
+// output that reads individual records then refuses with ErrNotStored
+// instead of rendering an empty trace. Call it before anything is recorded.
+func (r *Recorder) SetStore(on bool) {
+	if r == nil {
+		return
+	}
+	if !on && len(r.changes)+len(r.overheads)+len(r.accesses)+len(r.depths)+len(r.migrations) > 0 {
+		panic("trace: SetStore(false) after records were stored")
+	}
+	r.store = on
+}
+
+// Stores reports whether the recorder stores the record streams.
+func (r *Recorder) Stores() bool { return r != nil && r.store }
+
+// ErrNotStored is the reason outputs that read individual trace records
+// refuse to run on a recorder that only folds statistics.
+var ErrNotStored = errors.New("trace: the recorder did not store the trace (statistics only)")
+
+// needStored refuses op on a recorder that did not store the trace.
+func (r *Recorder) needStored(op string) error {
+	if r != nil && !r.store {
+		return fmt.Errorf("%s: %w", op, ErrNotStored)
+	}
+	return nil
+}
+
+// mustStore is needStored for outputs without an error result.
+func (r *Recorder) mustStore(op string) {
+	if err := r.needStored(op); err != nil {
+		panic(err)
 	}
 }
 
 // Reserve pre-sizes the recorder's buffers for a simulation expected to
 // produce about the given numbers of state changes, overhead segments and
 // communication accesses, eliminating growth reallocations during the run.
+// It does nothing on a recorder that does not store.
 func (r *Recorder) Reserve(stateChanges, overheads, accesses int) {
-	if r == nil {
+	if r == nil || !r.store {
 		return
 	}
 	if stateChanges > cap(r.changes) {
@@ -128,11 +174,13 @@ func (r *Recorder) Reserve(stateChanges, overheads, accesses int) {
 	}
 }
 
-// SetLimit caps every record category to the most recent n entries (ring
-// mode): long simulations keep a bounded window of trace history instead of
-// growing without bound. Older records are discarded and counted by Dropped.
-// Segments/StateAt/Stats then only see the retained window. n <= 0 removes
-// the cap.
+// SetLimit caps every stored record category to the most recent n entries
+// (ring mode): long simulations keep a bounded window of trace history
+// instead of growing without bound. Older records are discarded and counted
+// by Dropped. Renderers and Segments/StateAt then only see the retained
+// window; the statistics fold still covers the whole run, so ComputeStats
+// from the trace end onwards is unaffected, while ComputeStats over an
+// earlier window refuses once records were dropped. n <= 0 removes the cap.
 func (r *Recorder) SetLimit(n int) {
 	if r == nil {
 		return
@@ -158,7 +206,7 @@ func (r *Recorder) Limit() int {
 }
 
 // Dropped returns how many records the SetLimit cap has discarded so far —
-// zero means the trace is complete.
+// zero means the stored trace is complete.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -205,8 +253,11 @@ func (r *Recorder) TaskStateOn(task, cpu string, core int, state TaskState) {
 	if r == nil {
 		return
 	}
-	r.noteTask(task)
-	r.changes = capped(append(r.changes, StateChange{At: r.now(), Task: task, CPU: cpu, Core: core, State: state}), r.limit, &r.dropped)
+	at := r.now()
+	r.change(r.listTask(task), at, cpu, core, state)
+	if r.store {
+		r.changes = capped(append(r.changes, StateChange{At: at, Task: task, CPU: cpu, Core: core, State: state}), r.limit, &r.dropped)
+	}
 }
 
 // Migrate records that task's dispatch moved it from one core of cpu to
@@ -215,12 +266,17 @@ func (r *Recorder) Migrate(task, cpu string, from, to int) {
 	if r == nil {
 		return
 	}
-	r.migrations = capped(append(r.migrations, Migration{
-		At: r.now(), Task: task, CPU: cpu, From: from, To: to,
-	}), r.limit, &r.dropped)
+	at := r.now()
+	r.migrate(cpu, to, at)
+	if r.store {
+		r.migrations = capped(append(r.migrations, Migration{
+			At: at, Task: task, CPU: cpu, From: from, To: to,
+		}), r.limit, &r.dropped)
+	}
 }
 
-// Migrations returns all recorded core migrations in chronological order.
+// Migrations returns the stored core migrations in chronological order (nil
+// when the recorder does not store).
 func (r *Recorder) Migrations() []Migration {
 	if r == nil {
 		return nil
@@ -239,9 +295,12 @@ func (r *Recorder) OverheadOn(cpu, task string, core int, kind OverheadKind, sta
 	if r == nil {
 		return
 	}
-	r.overheads = capped(append(r.overheads, OverheadSegment{
-		CPU: cpu, Task: task, Core: core, Kind: kind, Start: start, End: end,
-	}), r.limit, &r.dropped)
+	r.overhead(cpu, task, kind, start, end)
+	if r.store {
+		r.overheads = capped(append(r.overheads, OverheadSegment{
+			CPU: cpu, Task: task, Core: core, Kind: kind, Start: start, End: end,
+		}), r.limit, &r.dropped)
+	}
 }
 
 // Access records an interaction between actor and a communication object.
@@ -249,18 +308,24 @@ func (r *Recorder) Access(actor, object string, kind AccessKind) {
 	if r == nil {
 		return
 	}
-	r.noteObject(object)
-	r.accesses = capped(append(r.accesses, Access{At: r.now(), Actor: actor, Object: object, Kind: kind}), r.limit, &r.dropped)
+	at := r.now()
+	r.access(object, kind, at)
+	if r.store {
+		r.accesses = capped(append(r.accesses, Access{At: at, Actor: actor, Object: object, Kind: kind}), r.limit, &r.dropped)
+	}
 }
 
 // Fault records a fault-subsystem event (fault injection, recovery action,
-// watchdog expiry) against a task.
+// watchdog expiry) against a task. Fault events are stored whether or not
+// the recorder stores the rest of the trace.
 func (r *Recorder) Fault(kind FaultEventKind, task, label, detail string) {
 	if r == nil {
 		return
 	}
+	at := r.now()
+	r.advance(at)
 	r.faults = capped(append(r.faults, FaultRecord{
-		At: r.now(), Kind: kind, Task: task, Label: label, Detail: detail,
+		At: at, Kind: kind, Task: task, Label: label, Detail: detail,
 	}), r.limit, &r.dropped)
 }
 
@@ -278,42 +343,41 @@ func (r *Recorder) Depth(object string, depth, capacity int) {
 	if r == nil {
 		return
 	}
-	r.noteObject(object)
-	r.depths = capped(append(r.depths, DepthSample{At: r.now(), Object: object, Depth: depth, Capacity: capacity}), r.limit, &r.dropped)
-}
-
-func (r *Recorder) noteTask(task string) {
-	if !r.taskSet[task] {
-		r.taskSet[task] = true
-		r.tasks = append(r.tasks, task)
+	at := r.now()
+	r.depth(object, depth, capacity, at)
+	if r.store {
+		r.depths = capped(append(r.depths, DepthSample{At: at, Object: object, Depth: depth, Capacity: capacity}), r.limit, &r.dropped)
 	}
 }
 
-func (r *Recorder) noteObject(obj string) {
-	if !r.objSet[obj] {
-		r.objSet[obj] = true
-		r.objects = append(r.objects, obj)
-	}
-}
-
-// Tasks returns the names of all traced tasks in first-appearance order.
+// Tasks returns the names of all traced tasks in first-appearance order, in
+// a new slice (nil when there are none).
 func (r *Recorder) Tasks() []string {
-	if r == nil {
+	if r == nil || len(r.taskRows) == 0 {
 		return nil
 	}
-	return r.tasks
+	names := make([]string, len(r.taskRows))
+	for i := range r.taskRows {
+		names[i] = r.taskRows[i].name
+	}
+	return names
 }
 
 // Objects returns the names of all traced communication objects in
-// first-appearance order.
+// first-appearance order, in a new slice (nil when there are none).
 func (r *Recorder) Objects() []string {
-	if r == nil {
+	if r == nil || len(r.objRows) == 0 {
 		return nil
 	}
-	return r.objects
+	names := make([]string, len(r.objRows))
+	for i := range r.objRows {
+		names[i] = r.objRows[i].name
+	}
+	return names
 }
 
-// StateChanges returns all recorded state changes in chronological order.
+// StateChanges returns the stored state changes in chronological order (nil
+// when the recorder does not store).
 func (r *Recorder) StateChanges() []StateChange {
 	if r == nil {
 		return nil
@@ -321,7 +385,8 @@ func (r *Recorder) StateChanges() []StateChange {
 	return r.changes
 }
 
-// Overheads returns all recorded overhead segments.
+// Overheads returns the stored overhead segments (nil when the recorder
+// does not store).
 func (r *Recorder) Overheads() []OverheadSegment {
 	if r == nil {
 		return nil
@@ -329,7 +394,8 @@ func (r *Recorder) Overheads() []OverheadSegment {
 	return r.overheads
 }
 
-// Accesses returns all recorded communication accesses.
+// Accesses returns the stored communication accesses (nil when the recorder
+// does not store).
 func (r *Recorder) Accesses() []Access {
 	if r == nil {
 		return nil
@@ -337,7 +403,8 @@ func (r *Recorder) Accesses() []Access {
 	return r.accesses
 }
 
-// Depths returns all recorded occupancy samples.
+// Depths returns the stored occupancy samples (nil when the recorder does
+// not store).
 func (r *Recorder) Depths() []DepthSample {
 	if r == nil {
 		return nil
@@ -363,6 +430,7 @@ func (r *Recorder) Segments(task string, end sim.Time) []Segment {
 	if r == nil {
 		return nil
 	}
+	r.mustStore("Segments")
 	var segs []Segment
 	var cur *StateChange
 	for i := range r.changes {
@@ -388,6 +456,7 @@ func (r *Recorder) StateAt(task string, t sim.Time) (TaskState, bool) {
 	if r == nil {
 		return 0, false
 	}
+	r.mustStore("StateAt")
 	state, found := TaskState(0), false
 	for i := range r.changes {
 		c := &r.changes[i]
@@ -408,34 +477,13 @@ func (r *Recorder) End() sim.Time {
 	if r == nil {
 		return 0
 	}
-	var end sim.Time
-	if n := len(r.changes); n > 0 && r.changes[n-1].At > end {
-		end = r.changes[n-1].At
-	}
-	for i := range r.overheads {
-		if r.overheads[i].End > end {
-			end = r.overheads[i].End
-		}
-	}
-	if n := len(r.accesses); n > 0 && r.accesses[n-1].At > end {
-		end = r.accesses[n-1].At
-	}
-	if n := len(r.depths); n > 0 && r.depths[n-1].At > end {
-		end = r.depths[n-1].At
-	}
-	if n := len(r.faults); n > 0 && r.faults[n-1].At > end {
-		end = r.faults[n-1].At
-	}
-	if n := len(r.migrations); n > 0 && r.migrations[n-1].At > end {
-		end = r.migrations[n-1].At
-	}
-	return end
+	return r.end
 }
 
 // SortedTasks returns the task names sorted lexicographically; useful for
 // stable report output.
 func (r *Recorder) SortedTasks() []string {
-	names := append([]string(nil), r.Tasks()...)
+	names := r.Tasks()
 	sort.Strings(names)
 	return names
 }

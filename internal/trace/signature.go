@@ -17,6 +17,7 @@ import (
 // engine-equivalence tests and of the schedule explorer's per-run
 // engine-divergence invariant.
 func Signature(rec *Recorder, end sim.Time) string {
+	rec.mustStore("Signature")
 	var b strings.Builder
 	for _, task := range rec.SortedTasks() {
 		fmt.Fprintf(&b, "%s:", task)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -113,8 +112,11 @@ type Stats struct {
 	Processors []ProcessorStats
 }
 
-// ComputeStats aggregates the recorded trace over [0, end]. With end zero the
-// recorder's natural end (last recorded timestamp) is used.
+// ComputeStats aggregates the trace over [0, end]. With end zero the
+// recorder's natural end (last recorded timestamp) is used. From the trace
+// end onwards it closes the online fold, with no pass over the records; an
+// earlier end replays the stored records through the same fold, and refuses
+// (panics with ErrNotStored) on a recorder that did not store them.
 func (r *Recorder) ComputeStats(end sim.Time) Stats {
 	if r == nil {
 		return Stats{}
@@ -122,171 +124,22 @@ func (r *Recorder) ComputeStats(end sim.Time) Stats {
 	if end == 0 {
 		end = r.End()
 	}
-	st := Stats{Window: end}
+	return r.foldAt("ComputeStats", end).stats(end)
+}
 
-	cpus := map[string]*ProcessorStats{}
-	cpuOf := map[string]string{}
-	coresOf := map[string]int{}
-	for i := range r.changes {
-		c := &r.changes[i]
-		if c.CPU != "" && c.Core+1 > coresOf[c.CPU] {
-			coresOf[c.CPU] = c.Core + 1
-		}
+// ReplayStats is ComputeStats derived from the stored records alone: it
+// replays them into a fresh fold even when the live one could answer. It
+// cross-checks a fold that was merged or built without storage against the
+// stored trace.
+func (r *Recorder) ReplayStats(end sim.Time) Stats {
+	if r == nil {
+		return Stats{}
 	}
-
-	for _, task := range r.Tasks() {
-		ts := TaskStats{Task: task, Window: end}
-		for _, seg := range r.Segments(task, end) {
-			d := seg.End - seg.Start
-			switch seg.State {
-			case StateRunning:
-				ts.Running += d
-			case StateReady:
-				ts.Ready += d
-			case StateWaiting:
-				ts.Waiting += d
-			case StateWaitingResource:
-				ts.WaitingResource += d
-			case StateOverhead:
-				ts.Overhead += d
-			case StateCreated, StateTerminated:
-				ts.Inactive += d
-			}
-		}
-		// Account for time before the first transition.
-		if segs := r.Segments(task, end); len(segs) > 0 {
-			ts.Inactive += segs[0].Start
-		} else {
-			ts.Inactive = end
-		}
-		var prev TaskState = StateCreated
-		for i := range r.changes {
-			c := &r.changes[i]
-			if c.Task != task || c.At > end {
-				continue
-			}
-			if c.CPU != "" {
-				ts.CPU = c.CPU
-			}
-			if c.State == StateRunning {
-				ts.Activations++
-			}
-			if prev == StateRunning && c.State == StateReady {
-				ts.Preemptions++
-			}
-			prev = c.State
-		}
-		cpuOf[task] = ts.CPU
-		st.Tasks = append(st.Tasks, ts)
-
-		if ts.CPU != "" {
-			cs := cpus[ts.CPU]
-			if cs == nil {
-				cs = &ProcessorStats{CPU: ts.CPU, Window: end}
-				cpus[ts.CPU] = cs
-			}
-			cs.Busy += ts.Running
-		}
+	if end == 0 {
+		end = r.End()
 	}
-
-	taskIdx := map[string]int{}
-	for i := range st.Tasks {
-		taskIdx[st.Tasks[i].Task] = i
-	}
-	for i := range r.overheads {
-		o := &r.overheads[i]
-		if o.Start >= end {
-			continue
-		}
-		segEnd := min(o.End, end)
-		if o.Task != "" {
-			if ti, ok := taskIdx[o.Task]; ok {
-				st.Tasks[ti].Overhead += segEnd - o.Start
-			}
-		}
-		cs := cpus[o.CPU]
-		if cs == nil {
-			cs = &ProcessorStats{CPU: o.CPU, Window: end}
-			cpus[o.CPU] = cs
-		}
-		cs.Overhead += segEnd - o.Start
-		if o.Kind == OverheadContextLoad {
-			cs.ContextSwitches++
-		}
-	}
-	for _, cs := range cpus {
-		cs.Cores = max(1, coresOf[cs.CPU])
-		cs.Idle = cs.capacity() - cs.Busy - cs.Overhead
-		st.Processors = append(st.Processors, *cs)
-	}
-	sort.Slice(st.Processors, func(i, j int) bool { return st.Processors[i].CPU < st.Processors[j].CPU })
-
-	// Per-object: utilization from depth samples, counts from accesses.
-	type depthAccum struct {
-		last     DepthSample
-		weighted float64 // integral of depth/capacity dt
-		busy     sim.Time
-		seen     bool
-	}
-	accum := map[string]*depthAccum{}
-	for _, obj := range r.Objects() {
-		accum[obj] = &depthAccum{}
-	}
-	for i := range r.depths {
-		d := &r.depths[i]
-		if d.At > end {
-			continue
-		}
-		a := accum[d.Object]
-		if a.seen {
-			dt := d.At - a.last.At
-			if a.last.Capacity > 0 {
-				a.weighted += float64(dt) * float64(a.last.Depth) / float64(a.last.Capacity)
-			}
-			if a.last.Depth > 0 {
-				a.busy += dt
-			}
-		}
-		a.last, a.seen = *d, true
-	}
-	for _, obj := range r.Objects() {
-		a := accum[obj]
-		if a.seen && a.last.At < end {
-			dt := end - a.last.At
-			if a.last.Capacity > 0 {
-				a.weighted += float64(dt) * float64(a.last.Depth) / float64(a.last.Capacity)
-			}
-			if a.last.Depth > 0 {
-				a.busy += dt
-			}
-		}
-		os := ObjectStats{Object: obj, Window: end, Busy: a.busy}
-		if end > 0 {
-			os.Utilization = a.weighted / float64(end)
-		}
-		for i := range r.accesses {
-			acc := &r.accesses[i]
-			if acc.Object != obj || acc.At > end {
-				continue
-			}
-			switch acc.Kind {
-			case AccessSignal:
-				os.Signals++
-			case AccessSend:
-				os.Sends++
-			case AccessReceive:
-				os.Receives++
-			case AccessRead:
-				os.Reads++
-			case AccessWrite:
-				os.Writes++
-			case AccessBlocked:
-				os.Blocks++
-			}
-		}
-		st.Objects = append(st.Objects, os)
-	}
-	return st
+	r.mustStore("ReplayStats")
+	return r.replay(end).stats(end)
 }
 
 // String renders the statistics as the textual analogue of Figure 8.

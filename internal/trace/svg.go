@@ -38,6 +38,9 @@ func (r *Recorder) WriteSVG(w io.Writer, opts SVGOptions) error {
 	if r == nil {
 		return nil
 	}
+	if err := r.needStored("WriteSVG"); err != nil {
+		return err
+	}
 	end := opts.End
 	if end == 0 {
 		end = r.End()
