@@ -358,11 +358,12 @@ func BenchmarkManyTasks(b *testing.B) {
 }
 
 // BenchmarkManyTaskBodies compares the two task body forms on a dense
-// periodic population at the RTOS level: goroutine bodies pay one kernel
-// process activation (a parker round-trip) per job, continuation bodies are
-// resumed inline by kernel methods with no process at all. Same workload,
-// same schedule — only the per-activation handoff differs, so continuation
-// mode must win on ns/op.
+// periodic population at the RTOS level: engine=goroutine runs ordinary Go
+// bodies (coroutines their drivers resume, one coroutine switch per op),
+// engine=continuation runs Programs the drivers interpret inline. Same
+// workload, same schedule — only the body form differs. The sub-benchmark
+// names are kept from when Go bodies ran on goroutines of their own, so
+// recorded results stay comparable.
 func BenchmarkManyTaskBodies(b *testing.B) {
 	const tasks = 1024
 	build := func(form string) *rtos.System {
@@ -429,11 +430,11 @@ func BenchmarkWaitAnyFanout(b *testing.B) {
 	k.Shutdown()
 }
 
-// BenchmarkContinuationSwitch is the continuation twin of
+// BenchmarkContinuationSwitch is the Program twin of
 // BenchmarkRTOSContextSwitch: the same two-task event ping-pong with the
-// bodies expressed as yield-op programs resumed inline by the kernel. The
-// delta against the goroutine bench is the parker round-trip the
-// continuation engine removes; it must land well below that 437 ns floor.
+// bodies expressed as yield-op programs the task drivers interpret inline.
+// The delta against the Go-body bench is the coroutine switch a Program
+// body saves.
 func BenchmarkContinuationSwitch(b *testing.B) {
 	for _, eng := range []rtosmodel.EngineKind{rtosmodel.EngineProcedural, rtosmodel.EngineThreaded} {
 		b.Run(eng.String(), func(b *testing.B) {

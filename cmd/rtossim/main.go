@@ -40,7 +40,6 @@ func main() {
 	var (
 		until       = flag.String("until", "", "override the scenario horizon (e.g. 2ms)")
 		engine      = flag.String("engine", "", "override every processor's engine: procedural or threaded")
-		taskEngine  = flag.String("taskengine", "", "override every software task's body form: goroutine or continuation")
 		shards      = flag.Int("shards", 0, "run the sharded parallel engine on up to N kernels (0 = sequential unless the scenario carries shard labels)")
 		timeline    = flag.Bool("timeline", false, "print the ASCII TimeLine chart")
 		width       = flag.Int("width", 100, "timeline width in columns")
@@ -78,7 +77,6 @@ func main() {
 	opts := runner.Options{
 		Until:         *until,
 		Engine:        *engine,
-		TaskEngine:    *taskEngine,
 		Shards:        *shards,
 		Analyze:       *analyze,
 		Timeline:      *timeline,

@@ -31,10 +31,11 @@ type Spec struct {
 	Horizon scenario.Duration `json:"horizon"`
 	// Engines lists RTOS engine overrides: "procedural" or "threaded".
 	Engines []string `json:"engines"`
-	// TaskEngines lists task body-form overrides: "goroutine" or
-	// "continuation" (applied to every software task). Bodies using bus
-	// send/recv have no continuation form; such a variant fails validation
-	// and reports the error as its result.
+	// TaskEngines lists values for every software task's engine field:
+	// "goroutine" or "continuation". The field is a compatibility input
+	// that selects nothing (every body runs on the task driver), so the
+	// axis labels variants without changing their simulation; it is kept so
+	// existing specs and their variant labels stay valid.
 	TaskEngines []string `json:"taskEngines"`
 	// Policies lists scheduling-policy overrides: "priority", "fifo", "rr"
 	// or "edf".

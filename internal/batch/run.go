@@ -204,14 +204,6 @@ func (s *Spec) runOne(base []byte, v Variant) Result {
 	}
 	s.apply(desc, v)
 	desc.StatsOnly = true // a variant's metrics read only the statistics
-	if v.TaskEngine != "" {
-		// Re-validate: some bodies (bus send/recv) have no continuation form,
-		// so a task-engine override can invalidate an otherwise-good scenario.
-		if err := desc.Validate(); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	}
 	built, err := desc.Build()
 	if err != nil {
 		res.Err = err.Error()

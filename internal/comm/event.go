@@ -122,7 +122,7 @@ func (e *Event) Wait(a Actor) {
 }
 
 // WaitAttempt is the non-suspending half of Wait, for callers that cannot
-// park a goroutine (the continuation engine). It records the wait, consumes a
+// suspend in place (a Program body's yield op). It records the wait, consumes a
 // memorized occurrence if one is available (returning true), or records the
 // block and enqueues a as a waiter (returning false). A false return means a
 // is now queued: a later Signal grants the occurrence by resuming a directly,

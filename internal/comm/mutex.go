@@ -78,7 +78,7 @@ func (m *Mutex) Lock(a Actor) {
 }
 
 // LockAttempt is the non-suspending half of Lock, for callers that cannot
-// park a goroutine (the continuation engine). It either acquires the lock
+// suspend in place (a Program body's yield op). It either acquires the lock
 // (true) or records the block, applies priority inheritance and enqueues a
 // as a waiter (false). After a false return the actor is resumed when the
 // lock is released and must re-attempt — another waiter may win the race,

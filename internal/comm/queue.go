@@ -56,10 +56,10 @@ func (q *Queue[T]) Put(a Actor, v T) {
 	}
 }
 
-// PutAttempt is the non-suspending half of Put, for callers that cannot park
-// a goroutine (the continuation engine). With room it completes the send and
-// returns true; with the queue full it records the block, enqueues a as a
-// producer and returns false. After a false return the actor is resumed when
+// PutAttempt is the non-suspending half of Put, for callers that cannot
+// suspend in place (a Program body's yield op). With room it completes the
+// send and returns true; with the queue full it records the block, enqueues
+// a as a producer and returns false. After a false return the actor is resumed when
 // room may be available and must re-attempt — a wake is a hint, not a grant,
 // exactly as Put's retry loop treats it.
 func (q *Queue[T]) PutAttempt(a Actor, v T) bool {

@@ -278,12 +278,6 @@ func (e *Engine) runOne(prefix []Decision, engine string) *RunResult {
 		res.Err = err.Error()
 		return res
 	}
-	// Exploration enumerates the goroutine engine's decision space; automatic
-	// continuation lowering would change which choice points exist, so force
-	// the opt-out for every run (replay traces must decode against the same
-	// space they were recorded in).
-	optOut := false
-	desc.AutoEngine = &optOut
 	if engine != "" {
 		for i := range desc.Processors {
 			desc.Processors[i].Engine = engine

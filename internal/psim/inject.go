@@ -28,9 +28,9 @@ type injectorActor struct {
 	inj  *injector
 }
 
-func (a *injectorActor) Name() string     { return a.name }
-func (a *injectorActor) Priority() int    { return 0 }
-func (a *injectorActor) Resume()          { a.inj.strand.Run() }
+func (a *injectorActor) Name() string  { return a.name }
+func (a *injectorActor) Priority() int { return 0 }
+func (a *injectorActor) Resume()       { a.inj.strand.Run() }
 func (a *injectorActor) Suspend(bool, string) {
 	panic("psim: injector must not suspend (delivery uses PutAttempt)")
 }
@@ -38,7 +38,7 @@ func (a *injectorActor) Suspend(bool, string) {
 func newInjector(k *sim.Kernel, channel string, q *comm.Queue[int]) *injector {
 	inj := &injector{q: q}
 	inj.actor.inj = inj
-	inj.strand = k.NewStrand("psim:"+channel, inj.step, false)
+	inj.strand = k.NewStrand("psim:"+channel, sim.StepFunc(inj.step), false)
 	return inj
 }
 
@@ -71,6 +71,14 @@ func (inj *injector) step(s *sim.Strand) {
 // instant, where the delivery happens in the next run's first delta cycles.
 func (inj *injector) feed(m message) {
 	wasEmpty := inj.head >= len(inj.pending)
+	if inj.head > 0 && inj.head*2 >= len(inj.pending) {
+		// The delivered prefix is at least half the buffer: drop it, so a
+		// receiver that never fully catches up does not grow the buffer by
+		// every message of the run.
+		n := copy(inj.pending, inj.pending[inj.head:])
+		inj.pending = inj.pending[:n]
+		inj.head = 0
+	}
 	inj.pending = append(inj.pending, m)
 	if wasEmpty && !inj.strand.WakePending() {
 		t := m.ts

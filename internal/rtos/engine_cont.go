@@ -7,26 +7,23 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the continuation task engine: tasks whose bodies are
-// Continuations (yield.go) run without a goroutine, a parker round-trip or a
-// retained stack. Each task owns a contDriver, a state machine executed by a
-// sim.Strand — a kernel Method with a private timer — so every resume runs
-// inline in the evaluate phase on the kernel's own goroutine.
+// This file is the task driver, the one implementation of the task side of
+// the dispatch protocol: waiting for a grant, charging the dispatch
+// overheads a task charges itself, running its Compute slices with exact
+// preemption, sleeping, blocking on communication relations, the periodic
+// release/deadline/recovery cycle and, under the procedural engine, the
+// outgoing half of a context switch. Each task owns a contDriver, a state
+// machine executed by a sim.Strand — a kernel Method with a private timer —
+// so every resume runs inline in the evaluate phase on the kernel's own
+// goroutine, without a parker round trip.
 //
-// The driver replays, state for state and delta for delta, the exact
-// protocol the goroutine engine runs in Task.awaitDispatch, Execute, Delay
-// and the switch-out halves of engine_proc.go: the same settle deltas, the
-// same overhead charges at the same instants with the same formula inputs,
-// the same trace records in the same order. A model run on continuation
-// tasks produces byte-identical traces to the same model on goroutine tasks
-// (pinned by the differential golden tests); only the sim_* kernel effort
-// counters differ, since strand resumes replace thread activations.
-//
-// What a blocking call was in the goroutine engine becomes a pair of driver
-// states here: "arm a wake and return" then "on wake, pick up where the
-// protocol left off". The strand's sensitivity covers every event that can
-// concern the task (TaskRun, TaskPreempt, interrupt completion), so each
-// state must tolerate spurious resumes; timer-armed states filter them with
+// The driver executes any Continuation (yield.go): a Program, or an ordinary
+// Go body running as a coroutine (cobody.go). What a blocking call is in a
+// thread becomes a pair of driver states here: "arm a wake and return" then
+// "on wake, pick up where the protocol left off". The strand's sensitivity
+// covers every event that can concern the task (TaskRun, which also carries
+// preemption requests, and interrupt completion), so each state must
+// tolerate spurious resumes; timer-armed states filter them with
 // WakePending (the private timer still pending means the resume came from a
 // sensitivity event, not the timer).
 
@@ -89,6 +86,8 @@ const (
 	afAcquire
 	// afAwait: back from a grant-on-resume op (comm event).
 	afAwait
+	// afResume: back from a Suspend; the body completes the operation.
+	afResume
 )
 
 // contNext is the trampoline vocabulary: what advance should run next. Using
@@ -109,17 +108,19 @@ const (
 	nextBody
 )
 
-// contDriver executes one continuation task.
+// contDriver executes one task.
 type contDriver struct {
 	t    *Task
 	cpu  *Processor
-	s    *sim.Strand
+	s    sim.Strand
 	cont Continuation
 
 	state contState
 	after afterKind
 	// pendingOp holds the blocking yield op the task is parked on.
 	pendingOp Yield
+	// runName names the task's TaskRun wait in diagnoses; built on demand.
+	runName string
 
 	// inCore/outCore are the cores of the dispatch-in and switch-out
 	// microprograms in flight; chargeStart is the start instant of the
@@ -133,7 +134,7 @@ type contDriver struct {
 	remaining  sim.Time
 	sliceStart sim.Time
 
-	// Periodic-wrapper state, mirroring the goroutine NewPeriodicTask loop.
+	// Periodic-wrapper state: the release schedule of NewPeriodicContTask.
 	periodic    bool
 	relDeadline sim.Time
 	cycle       int
@@ -141,20 +142,26 @@ type contDriver struct {
 	watch       *deadlineWatch
 }
 
-// NewContTask creates a task running a continuation body on the processor.
-// The body runs once (Finish terminates the task); use NewPeriodicContTask
-// for cyclic tasks. Continuation tasks coexist freely with goroutine tasks
-// on the same processor and follow the identical scheduling protocol.
+// NewContTask creates a task running a continuation body on the processor:
+// the hand-written form of a task body, a Program or any Continuation. The
+// body runs once (Finish terminates the task); use NewPeriodicContTask for
+// cyclic tasks. NewTask is the same with an ordinary Go body.
 func (cpu *Processor) NewContTask(name string, cfg TaskConfig, body Continuation) *Task {
 	if body == nil {
 		panic("rtos: NewContTask with nil continuation")
 	}
-	return cpu.newContTask(name, cfg, body, false, 0, nil)
+	return cpu.newContTask(name, cfg, body, coBody{}, false, 0, nil)
 }
 
 // NewPeriodicContTask creates a periodic task running a continuation body
-// each cycle, with the exact release, deadline-watch, jitter and recovery
-// semantics of NewPeriodicTask.
+// each cycle; NewPeriodicTask is the same with an ordinary Go body.
+//
+// Each cycle sets the absolute deadline from cfg.Deadline (defaulting to
+// the period), runs the body, then sleeps until the next release (first
+// release at cfg.StartAt). A deadline watchdog checks each cycle at its
+// absolute deadline instant — not at completion — so a miss is reported
+// even for a cycle that never completes (a starved task). If a cycle
+// overruns its period the next release happens immediately.
 func (cpu *Processor) NewPeriodicContTask(name string, cfg TaskConfig, body Continuation) *Task {
 	if cfg.Period <= 0 {
 		panic("rtos: NewPeriodicContTask requires a positive period")
@@ -162,6 +169,12 @@ func (cpu *Processor) NewPeriodicContTask(name string, cfg TaskConfig, body Cont
 	if body == nil {
 		panic("rtos: NewPeriodicContTask with nil continuation")
 	}
+	return cpu.newPeriodicTask(name, cfg, body, coBody{})
+}
+
+// newPeriodicTask creates a periodic task running body or the Go body in co
+// (see newContTask).
+func (cpu *Processor) newPeriodicTask(name string, cfg TaskConfig, body Continuation, co coBody) *Task {
 	if cfg.Jitter < 0 || cfg.Jitter >= cfg.Period {
 		if cfg.Jitter != 0 {
 			panic("rtos: periodic release jitter must be in [0, period)")
@@ -172,13 +185,15 @@ func (cpu *Processor) NewPeriodicContTask(name string, cfg TaskConfig, body Cont
 		relDeadline = cfg.Period
 	}
 	w := newDeadlineWatch(cpu, name, cfg.StartAt+relDeadline)
-	t := cpu.newContTask(name, cfg, body, true, relDeadline, w)
+	t := cpu.newContTask(name, cfg, body, co, true, relDeadline, w)
 	w.tsk = t
 	t.registerTaskMetrics(cpu.sys.Metrics)
 	return t
 }
 
-func (cpu *Processor) newContTask(name string, cfg TaskConfig, body Continuation, periodic bool, relDeadline sim.Time, w *deadlineWatch) *Task {
+// newContTask creates a task running body, a Continuation, or else the Go
+// body in co (coroutine fields unset), run as a coroutine.
+func (cpu *Processor) newContTask(name string, cfg TaskConfig, body Continuation, co coBody, periodic bool, relDeadline sim.Time, w *deadlineWatch) *Task {
 	if cfg.Affinity < 0 || cfg.Affinity >= len(cpu.cores) {
 		panic(fmt.Sprintf("rtos: task %q affinity %d out of range for %d-core processor %q",
 			name, cfg.Affinity, len(cpu.cores), cpu.name))
@@ -201,35 +216,62 @@ func (cpu *Processor) newContTask(name string, cfg TaskConfig, body Continuation
 	if cfg.Deadline > 0 {
 		t.deadline = cfg.StartAt + cfg.Deadline
 	}
-	t.ctx = &TaskCtx{t: t}
-	t.evRun = cpu.k.NewEvent(name + ".TaskRun")
-	t.evPreempt = cpu.k.NewEvent(name + ".TaskPreempt")
-	// The strand must be sensitive to ISR completion, so the controller (an
-	// inert bundle of events until an IRQ is declared) is forced into
-	// existence here. Creating it records nothing and schedules nothing.
-	ic := cpu.Interrupts()
-	// The delay event is created eagerly (the goroutine engine does it
-	// lazily on its own thread; a driver has no thread to do it on).
-	t.delayEvent = cpu.k.NewEvent(name + ".delay")
-	cpu.k.NewMethod(name+".delayWake", func() {
-		cpu.eng.taskIsReady(t)
-	}, false, t.delayEvent)
-	d := &contDriver{
+	t.ctx.t = t
+	cpu.k.InitEvent(&t.evRun, name)
+	d := &t.drv
+	*d = contDriver{
 		t: t, cpu: cpu, cont: body,
 		periodic: periodic, relDeadline: relDeadline, watch: w,
 		release: cfg.StartAt, after: afStart,
 	}
-	t.cont = d
-	d.s = cpu.k.NewStrand(name, d.step, true, t.evRun, t.evPreempt, ic.doneEv)
+	if body == nil {
+		t.co = co
+		t.co.t = t
+		t.ctx.co = &t.co
+		d.cont = &t.co
+	}
+	cpu.k.InitStrand(&d.s, name, d, body != nil, &t.evRun)
+	if body == nil {
+		// A Go body starts where a thread starts: after the Program bodies,
+		// which start with the methods.
+		d.s.StartWithProcesses()
+	}
+	if ic := cpu.irqCtrl; ic != nil {
+		d.s.SensitiveTo(ic.doneEv)
+	}
+	d.s.SetWaitReport(d)
 	cpu.tasks = append(cpu.tasks, t)
 	return t
 }
 
-// step is the strand entry point: route the resume to the parked state's
-// handler. Timer-armed states treat a still-pending timer as proof the
-// resume came from a sensitivity event and ignore it (interrupt completion
-// broadcasts to every continuation task's strand, for instance).
-func (d *contDriver) step(s *sim.Strand) {
+// WaitingOn names what the task waits on, for deadlock diagnosis (the
+// strand's wait report): the communication object of a pending blocking
+// op, otherwise its TaskRun event (a dispatch, a sleep or a hang); "" once
+// the task terminated.
+func (d *contDriver) WaitingOn() string {
+	if d.state == dcDone {
+		return ""
+	}
+	if d.state == dcParked && d.pendingOp.object != "" {
+		switch d.after {
+		case afAcquire, afAwait, afResume:
+			return d.pendingOp.object
+		}
+	}
+	if d.runName == "" {
+		d.runName = d.t.name + ".TaskRun"
+	}
+	return d.runName
+}
+
+// Stop closes a Go body's coroutine at kernel shutdown (sim.Stopper).
+func (d *contDriver) Stop() { d.t.co.close() }
+
+// Step is the strand entry point (sim.Stepper): route the resume to the
+// parked state's handler. Timer-armed states treat a still-pending timer as
+// proof the resume came from a sensitivity event and ignore it (interrupt
+// completion broadcasts to every task's strand, for instance).
+func (d *contDriver) Step(s *sim.Strand) {
 	d.cpu.met.contResumes.Inc()
 	switch d.state {
 	case dcInit:
@@ -281,8 +323,8 @@ func (d *contDriver) step(s *sim.Strand) {
 	}
 }
 
-// init mirrors threadBody's prologue: record Created, wait out StartAt,
-// become ready.
+// init is the task's prologue: record Created, wait out StartAt, become
+// ready.
 func (d *contDriver) init() {
 	t := d.t
 	t.setState(trace.StateCreated)
@@ -303,15 +345,14 @@ func (d *contDriver) becomeReady() {
 // maybeGrant processes a grant already pending while the driver is parked.
 // Needed because a grant arriving mid-microprogram has its TaskRun notify
 // consumed by a state that ignores it; on reaching dcParked the grant must
-// be picked up without waiting for another notify (the goroutine engine's
-// awaitDispatch checks pendingGrant before parking for the same reason).
+// be picked up without waiting for another notify.
 func (d *contDriver) maybeGrant() {
 	if d.state == dcParked && d.t.pendingGrant != grantNone {
 		d.tryGrant()
 	}
 }
 
-// tryGrant consumes a pending grant: the head of awaitDispatch.
+// tryGrant consumes a pending grant: the head of a dispatch.
 func (d *contDriver) tryGrant() {
 	t := d.t
 	if t.pendingGrant == grantNone {
@@ -322,13 +363,16 @@ func (d *contDriver) tryGrant() {
 	d.inCore = &d.cpu.cores[t.grantCore]
 	switch g {
 	case grantSchedLoad:
-		// Idle-core wakeup: this driver runs the scheduler for the core it
-		// claimed, after a settle delta that lets same-instant arrivals join
-		// the election.
+		// Idle-core wakeup (procedural engine): this driver runs the
+		// scheduler for the core it claimed. Other tasks arriving during the
+		// scheduling window take part in the election; the settle deltas let
+		// same-instant arrivals join (and be seen by the overhead formula)
+		// even with zero overhead.
 		d.state = dcInSettleA
 		d.s.WakeDelta()
 	case grantLoad:
-		// Elected by another thread; it already removed us from the queue.
+		// Elected by another task's driver or the RTOS thread, which
+		// already removed us from the queue.
 		d.beginLoad()
 	}
 }
@@ -353,8 +397,8 @@ func (d *contDriver) inSchedDone() {
 	d.s.WakeDelta()
 }
 
-// inElect runs the election of a grantSchedLoad dispatch, exactly as
-// awaitDispatch does after its second settle.
+// inElect runs the election of a grantSchedLoad dispatch after its second
+// settle.
 func (d *contDriver) inElect() {
 	cpu, t, c := d.cpu, d.t, d.inCore
 	cpu.clearClaim(t)
@@ -403,7 +447,7 @@ func (d *contDriver) afterDispatch() {
 	t := d.t
 	switch d.after {
 	case afStart:
-		t.inJob = true // runBehaviour's entry
+		t.inJob = true
 		if d.periodic {
 			d.advance(nextCycle)
 		} else {
@@ -418,16 +462,16 @@ func (d *contDriver) afterDispatch() {
 	case afYield:
 		d.advance(nextProgram)
 	case afBodySleep:
-		// Delay's post-dispatch abort checkpoint.
+		// A sleep's post-dispatch abort checkpoint.
 		if t.abortPending {
 			d.advance(d.jobAbort())
 			return
 		}
 		d.advance(nextProgram)
 	case afJitterSleep, afReleaseSleep:
-		// An abort landing at a wrapper-level sleep unwinds the whole
-		// goroutine behaviour, past the cycle recovery scope: the task
-		// terminates (the "one-shot job aborted" quirk, replicated exactly).
+		// An abort landing at a wrapper-level sleep lands outside any cycle,
+		// past the cycle recovery scope: the task terminates ("one-shot job
+		// aborted").
 		if t.abortPending {
 			t.abortPending = false
 			d.advance(d.terminalAbort())
@@ -441,7 +485,7 @@ func (d *contDriver) afterDispatch() {
 	case afAcquire:
 		// Re-attempt op (mutex, queue): another waiter may have won the
 		// race while we were dispatched; block again if so.
-		if d.pendingOp.attempt(t.ctx) {
+		if d.pendingOp.attempt(&t.ctx) {
 			d.advance(nextProgram)
 			return
 		}
@@ -449,7 +493,9 @@ func (d *contDriver) afterDispatch() {
 	case afAwait:
 		// Grant-on-resume op (comm event): the occurrence was granted by
 		// the resume itself; record the wakeup and continue.
-		d.pendingOp.wake(t.ctx)
+		d.pendingOp.wake(&t.ctx)
+		d.advance(nextProgram)
+	case afResume:
 		d.advance(nextProgram)
 	}
 }
@@ -481,14 +527,14 @@ func (d *contDriver) advance(n contNext) {
 func (d *contDriver) runOps() contNext {
 	t := d.t
 	for {
-		y := d.cont.Resume(t.ctx)
+		y := d.cont.Resume(&t.ctx)
 		switch y.kind {
 		case yieldFinish:
 			return nextJobEnd
 		case yieldCompute, yieldComputeFn:
 			dur := y.d
 			if y.kind == yieldComputeFn {
-				dur = y.dur(t.ctx)
+				dur = y.dur(&t.ctx)
 			}
 			if dur < 0 {
 				panic("rtos: Execute with negative duration")
@@ -507,7 +553,7 @@ func (d *contDriver) runOps() contNext {
 			if y.d == 0 {
 				continue
 			}
-			t.delayEvent.NotifyIn(y.d)
+			t.armDelayWake().NotifyIn(y.d)
 			d.after = afBodySleep
 			d.switchOut(trace.StateWaiting, dcParked)
 			return nextParked
@@ -516,7 +562,7 @@ func (d *contDriver) runOps() contNext {
 			d.switchOut(trace.StateReady, dcParked)
 			return nextParked
 		case yieldAcquire:
-			if y.attempt(t.ctx) {
+			if y.attempt(&t.ctx) {
 				continue
 			}
 			d.pendingOp = y
@@ -524,12 +570,18 @@ func (d *contDriver) runOps() contNext {
 			d.blockOnOp()
 			return nextParked
 		case yieldAwait:
-			if y.attempt(t.ctx) {
+			if y.attempt(&t.ctx) {
 				continue
 			}
 			d.pendingOp = y
 			d.after = afAwait
 			d.switchOut(trace.StateWaiting, dcParked)
+			return nextParked
+		case yieldSuspend:
+			// The body's own attempt already queued the task as a waiter.
+			d.pendingOp = y
+			d.after = afResume
+			d.blockOnOp()
 			return nextParked
 		}
 	}
@@ -544,17 +596,20 @@ func (d *contDriver) blockOnOp() {
 	d.switchOut(s, dcParked)
 }
 
-// sliceStep is the head of Execute's loop: run the abort/hang/ISR/preempt
+// sliceStep is the head of a Compute: run the abort/hang/ISR/preempt
 // checkpoints, then arm a slice for the remaining duration. It returns
 // nextProgram once the remaining duration is exhausted.
 func (d *contDriver) sliceStep() contNext {
 	t, cpu := d.t, d.cpu
 	for d.remaining > 0 {
+		// Abort and hang checkpoints: an injected crash, a deadline-miss
+		// recovery or a watchdog restart takes effect here; an injected hang
+		// parks the task in place, preserving the remaining duration.
 		if t.abortPending {
 			return d.jobAbort()
 		}
 		if t.hangPending {
-			d.enterHangCont()
+			d.enterHang()
 			return nextParked
 		}
 		if ic := cpu.irqCtrl; ic != nil && ic.active != nil {
@@ -564,6 +619,7 @@ func (d *contDriver) sliceStep() contNext {
 			return nextParked
 		}
 		if t.preemptPending && t.preemptible() {
+			// The paper's TaskIsPreempted: back to the ready queue.
 			d.after = afExec
 			d.switchOut(trace.StateReady, dcParked)
 			return nextParked
@@ -578,7 +634,7 @@ func (d *contDriver) sliceStep() contNext {
 }
 
 // sliceWake ends a Compute slice: the timer expiring means the slice ran to
-// completion; any earlier wake (TaskPreempt, ISR begin) re-enters the
+// completion; any earlier wake (a preemption request, ISR begin) re-enters the
 // checkpoint loop with the elapsed time accounted at the wake instant.
 func (d *contDriver) sliceWake() {
 	t, cpu := d.t, d.cpu
@@ -605,10 +661,9 @@ func (d *contDriver) isrWake() {
 	d.advance(d.sliceStep())
 }
 
-// enterHangCont replicates enterHang for the driver: record the fault, park
-// in Waiting with the remaining slice duration preserved, arm the finite-
-// hang wake if any.
-func (d *contDriver) enterHangCont() {
+// enterHang makes the task stuck: record the fault, park in Waiting with the
+// remaining slice duration preserved, arm the finite-hang wake if any.
+func (d *contDriver) enterHang() {
 	t := d.t
 	t.hangPending = false
 	dur := t.hangDur
@@ -619,21 +674,23 @@ func (d *contDriver) enterHangCont() {
 	t.cpu.rec.Fault(trace.FaultInjected, t.name, "hang", detail)
 	t.hung = true
 	if dur > 0 {
-		t.delayEvent.NotifyIn(dur)
+		t.armDelayWake().NotifyIn(dur)
 	}
 	d.after = afHang
 	d.switchOut(trace.StateWaiting, dcParked)
 }
 
-// switchOut takes the task off its core into state s and runs the outgoing
-// half of the context switch. Under the threaded engine the vacated core's
-// RTOS thread performs it; under the procedural engine the driver replays
-// switchOutOn as a microprogram on its own strand.
+// switchOut takes the task off its core into state s (the paper's
+// TaskIsBlocked, or TaskIsPreempted for Ready) and runs the outgoing half of
+// the context switch. Under the threaded engine the vacated core's RTOS
+// thread performs it; under the procedural engine the driver runs it as a
+// microprogram on its own strand: charge the context save, settle so
+// same-instant arrivals join the ready queue, then dispatch.
 func (d *contDriver) switchOut(s trace.TaskState, final contState) {
 	t, cpu := d.t, d.cpu
 	c := cpu.leaveRunning(t, s)
 	d.outFinal = final
-	if cpu.eng.switchOutCont(c, t) {
+	if cpu.eng.switchOut(c, t) {
 		d.finishOut()
 		return
 	}
@@ -655,8 +712,9 @@ func (d *contDriver) outSaveDone() {
 	d.s.WakeDelta()
 }
 
-// outDispatch is dispatchOn's head: with nothing ready the core goes idle,
-// otherwise charge the scheduling duration and settle before the election.
+// outDispatch opens the dispatch half: with nothing ready the core goes
+// idle, otherwise charge the scheduling duration and settle before the
+// election.
 func (d *contDriver) outDispatch() {
 	cpu, c := d.cpu, d.outCore
 	if len(cpu.queueFor(c.id).tasks) == 0 {
@@ -684,8 +742,7 @@ func (d *contDriver) outSchedDone() {
 // outElect finishes the switch-out: elect and grant the vacated core's next
 // task, then settle the driver itself (the winner may be this very task,
 // yielding straight back onto the core — its grant is picked up by
-// finishOut's maybeGrant, exactly as awaitDispatch picks it up after
-// switchOutOn returns).
+// finishOut's maybeGrant).
 func (d *contDriver) outElect() {
 	cpu, c := d.cpu, d.outCore
 	if len(cpu.queueFor(c.id).tasks) == 0 {
@@ -717,7 +774,9 @@ func (d *contDriver) finishOut() {
 }
 
 // cycleStart opens one periodic cycle: fresh deadline, deadline watch,
-// release jitter — the head of NewPeriodicTask's loop.
+// release jitter. The release schedule anchors at the configured first
+// release, not at the first dispatch: a task dispatched late still owes its
+// work against the nominal period boundaries.
 func (d *contDriver) cycleStart() contNext {
 	t, cpu := d.t, d.cpu
 	deadline := d.release + d.relDeadline
@@ -726,7 +785,7 @@ func (d *contDriver) cycleStart() contNext {
 	if j := cpu.sys.releaseJitterFor(t.name, d.cycle, t.cfg.Jitter); j > 0 {
 		if at := d.release + j; at > cpu.k.Now() {
 			// Jittered activation; the deadline stays nominal.
-			t.delayEvent.NotifyIn(at - cpu.k.Now())
+			t.armDelayWake().NotifyIn(at - cpu.k.Now())
 			d.after = afJitterSleep
 			d.switchOut(trace.StateWaiting, dcParked)
 			return nextParked
@@ -735,15 +794,14 @@ func (d *contDriver) cycleStart() contNext {
 	return nextBody
 }
 
-// startBody enters the cycle body (runCycle's entry).
+// startBody enters the cycle body.
 func (d *contDriver) startBody() contNext {
 	d.t.inJob = true
 	d.cont.Reset()
 	return nextProgram
 }
 
-// jobEnd completes a job: runCycle's normal-return epilogue for periodic
-// tasks, runBehaviour's for one-shot tasks.
+// jobEnd completes a job: a periodic cycle, or a one-shot task's body.
 func (d *contDriver) jobEnd() contNext {
 	t := d.t
 	if !d.periodic {
@@ -766,8 +824,7 @@ func (d *contDriver) jobEnd() contNext {
 }
 
 // nextRelease advances the release schedule and sleeps until the next
-// release (or chains straight into the next cycle on overrun) — the tail of
-// NewPeriodicTask's loop.
+// release (or chains straight into the next cycle on overrun).
 func (d *contDriver) nextRelease() contNext {
 	t, cpu := d.t, d.cpu
 	d.release += t.cfg.Period
@@ -779,7 +836,7 @@ func (d *contDriver) nextRelease() contNext {
 	d.cycle++
 	now := cpu.k.Now()
 	if d.release > now {
-		t.delayEvent.NotifyIn(d.release - now)
+		t.armDelayWake().NotifyIn(d.release - now)
 		d.after = afReleaseSleep
 		d.switchOut(trace.StateWaiting, dcParked)
 		return nextParked
@@ -788,18 +845,19 @@ func (d *contDriver) nextRelease() contNext {
 	return nextCycle
 }
 
-// jobAbort lands a requested abort at a body checkpoint: the continuation
-// analogue of abortJob's panic unwinding into the recovery scope.
+// jobAbort lands a requested abort at a body checkpoint: a Go body unwinds
+// its job first (its deferred calls run now), then the recovery is taken.
 func (d *contDriver) jobAbort() contNext {
 	t := d.t
 	t.abortPending = false
+	t.co.abortJob()
 	if !d.periodic {
 		return d.terminalAbort()
 	}
 	return d.cycleAbort()
 }
 
-// cycleAbort is runCycle's recover branch plus the wrapper's abort handling.
+// cycleAbort records an aborted cycle and takes the release it leads to.
 func (d *contDriver) cycleAbort() contNext {
 	t := d.t
 	t.inJob = false
@@ -823,8 +881,8 @@ func (d *contDriver) cycleAbort() contNext {
 	return d.nextRelease()
 }
 
-// terminalAbort is runBehaviour's recover branch: the job dies and the task
-// terminates.
+// terminalAbort ends a job outside any cycle recovery scope: the job dies
+// and the task terminates.
 func (d *contDriver) terminalAbort() contNext {
 	t := d.t
 	t.inJob = false
@@ -839,8 +897,9 @@ func (d *contDriver) terminalAbort() contNext {
 	return nextParked
 }
 
-// finishTask is taskFinished for the driver: leave the processor into the
-// Terminated state; the strand never resumes meaningfully again.
+// finishTask leaves the processor into the Terminated state and closes a
+// Go body's coroutine; the strand never resumes meaningfully again.
 func (d *contDriver) finishTask() {
+	d.t.co.close()
 	d.switchOut(trace.StateTerminated, dcDone)
 }

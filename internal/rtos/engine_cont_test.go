@@ -14,8 +14,8 @@ import (
 )
 
 // bodyForm selects how a differential workload expresses its task bodies:
-// ordinary goroutine-backed closures or continuation programs driven inline
-// by the kernel's method queue.
+// ordinary Go closures (run as coroutines on the task driver) or
+// hand-written continuation Programs interpreted by the driver itself.
 type bodyForm int
 
 const (
@@ -25,16 +25,15 @@ const (
 
 func (f bodyForm) String() string {
 	if f == bodyContinuation {
-		return "continuation"
+		return "Program"
 	}
-	return "goroutine"
+	return "Go"
 }
 
-// periodicContWorkload builds a three-task periodic system whose bodies are
-// all statically lowerable (Execute, Delay, Yield, preemption toggles) in
-// either body form. The goroutine form passes the closures to
-// NewPeriodicTask; the continuation form passes the very same closures to
-// NewLoweredPeriodicTask, so both simulations interpret one source of truth.
+// periodicContWorkload builds a three-task periodic system (Execute, Delay,
+// Yield, preemption toggles) in either body form: Go closures passed to
+// NewPeriodicTask, or the same op sequences as Programs passed to
+// NewPeriodicContTask.
 func periodicContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) (string, string, *trace.Recorder) {
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{
@@ -45,30 +44,38 @@ func periodicContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) 
 		name string
 		cfg  rtos.TaskConfig
 		body func(*rtos.TaskCtx, int)
+		prog *rtos.Program
 	}{
 		{"video", rtos.TaskConfig{Period: 120 * sim.Us, Priority: 8, OnMiss: rtos.MissAbortJob},
 			func(c *rtos.TaskCtx, cycle int) {
 				c.Execute(30 * sim.Us)
 				c.Delay(10 * sim.Us)
 				c.Execute(15 * sim.Us)
-			}},
+			},
+			rtos.BuildProgram().Compute(30 * sim.Us).WaitFor(10 * sim.Us).Compute(15 * sim.Us).Build()},
 		{"audio", rtos.TaskConfig{Period: 90 * sim.Us, Priority: 5, Jitter: 7 * sim.Us, OnMiss: rtos.MissSkipNextRelease},
 			func(c *rtos.TaskCtx, cycle int) {
 				c.DisablePreemption()
 				c.Execute(12 * sim.Us)
 				c.EnablePreemption()
 				c.Execute(20 * sim.Us)
-			}},
+			},
+			rtos.BuildProgram().
+				Do(func(c *rtos.TaskCtx) { c.DisablePreemption() }).
+				Compute(12 * sim.Us).
+				Do(func(c *rtos.TaskCtx) { c.EnablePreemption() }).
+				Compute(20 * sim.Us).Build()},
 		{"log", rtos.TaskConfig{Period: 300 * sim.Us, Priority: 2, StartAt: 40 * sim.Us},
 			func(c *rtos.TaskCtx, cycle int) {
 				c.Execute(25 * sim.Us)
 				c.Yield()
 				c.Execute(25 * sim.Us)
-			}},
+			},
+			rtos.BuildProgram().Compute(25 * sim.Us).Yield().Compute(25 * sim.Us).Build()},
 	}
 	for _, s := range specs {
 		if form == bodyContinuation {
-			cpu.NewLoweredPeriodicTask(s.name, s.cfg, s.body)
+			cpu.NewPeriodicContTask(s.name, s.cfg, s.prog)
 		} else {
 			cpu.NewPeriodicTask(s.name, s.cfg, s.body)
 		}
@@ -78,10 +85,9 @@ func periodicContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) 
 	return traceSignature(sys.Rec, horizon), "", sys.Rec
 }
 
-// TestContEquivalencePeriodic is the continuation engine's core differential
-// golden: a lowerable periodic workload must produce a byte-identical trace
-// whether its bodies run as goroutines or as kernel-driven continuations, on
-// both RTOS engine implementations.
+// TestContEquivalencePeriodic is the body forms' core differential golden: a
+// periodic workload must produce a byte-identical trace whether its bodies
+// are Go closures or Programs, on both RTOS engine implementations.
 func TestContEquivalencePeriodic(t *testing.T) {
 	const horizon = 3 * sim.Ms
 	for _, eng := range engines() {
@@ -99,8 +105,9 @@ func TestContEquivalencePeriodic(t *testing.T) {
 // commContWorkload builds a six-task communication mesh — queue
 // producer/consumer, two mutex contenders, an event signaler/waiter — in
 // either body form. The continuation form uses hand-built Programs with the
-// blocking yield ops (LockMutex, WaitOn, PutMsg, GetMsg); the goroutine form
-// uses the ordinary blocking API with the same durations and priorities.
+// blocking yield ops (LockMutex, WaitOn, PutMsg, GetMsg); the Go form uses
+// the ordinary blocking API (through TaskCtx.Suspend) with the same
+// durations and priorities.
 func commContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) (string, string, *trace.Recorder) {
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{
@@ -226,7 +233,7 @@ func commContWorkload(form bodyForm, eng rtos.EngineKind, horizon sim.Time) (str
 // rtos_continuation_resumes_total (the one counter that legitimately differs
 // between body forms). Everything else — dispatches, preemptions, context
 // switches, overhead time, per-task response histograms — must match exactly
-// between a goroutine-bodied model and its continuation twin.
+// between a Go-bodied model and its Program twin.
 func rtosMetricsKeyFromSys(sys *rtos.System) string {
 	var keep []metrics.MetricSnapshot
 	for _, m := range sys.Metrics.Snapshot().Metrics {
@@ -255,25 +262,25 @@ func TestContEquivalenceComm(t *testing.T) {
 					trace.Diff(recG, recC, horizon, 8))
 			}
 			if metG != metC {
-				t.Errorf("rtos_* metrics diverge between body forms:\n goroutine:    %s\n continuation: %s", metG, metC)
+				t.Errorf("rtos_* metrics diverge between body forms:\n Go body: %s\n Program: %s", metG, metC)
 			}
 		})
 	}
 }
 
-// buildContFaultMatrix is buildFaultMatrix with continuation bodies: the same
+// buildContFaultMatrix is buildFaultMatrix with Program bodies: the same
 // directed fault scenarios (one injector, one miss policy) with the periodic
-// bodies lowered to programs. Its signature must match the goroutine-bodied
+// bodies written as programs. Its signature must match the Go-bodied
 // buildFaultMatrix run on the same engine.
 func buildContFaultMatrix(eng rtos.EngineKind, injector string, policy rtos.MissPolicy, horizon sim.Time) (string, *trace.Recorder) {
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{Engine: eng, Overheads: rtos.UniformOverheads(sim.Us)})
-	load := cpu.NewLoweredPeriodicTask("load", rtos.TaskConfig{
+	load := cpu.NewPeriodicContTask("load", rtos.TaskConfig{
 		Period: 100 * sim.Us, Priority: 5, OnMiss: policy,
-	}, func(c *rtos.TaskCtx, cycle int) { c.Execute(60 * sim.Us) })
-	cpu.NewLoweredPeriodicTask("rival", rtos.TaskConfig{
+	}, rtos.BuildProgram().Compute(60*sim.Us).Build())
+	cpu.NewPeriodicContTask("rival", rtos.TaskConfig{
 		Period: 130 * sim.Us, Priority: 7,
-	}, func(c *rtos.TaskCtx, cycle int) { c.Execute(30 * sim.Us) })
+	}, rtos.BuildProgram().Compute(30*sim.Us).Build())
 	switch injector {
 	case "wcet":
 		load.InjectWCETOverrun(rtos.WCETOverrun{Factor: 2, Probability: 0.5, Seed: 11})
@@ -307,10 +314,10 @@ func buildContFaultMatrix(eng rtos.EngineKind, injector string, policy rtos.Miss
 }
 
 // TestContEquivalenceFaultMatrix runs the directed fault matrix (every
-// injector × every miss policy) with continuation bodies against the
-// goroutine-bodied reference: WCET inflation, crash aborts, hangs, watchdog
-// restarts and ISR interference must hit continuation tasks at the same
-// instants with the same recovery actions.
+// injector × every miss policy) with Program bodies against the Go-bodied
+// reference: WCET inflation, crash aborts (which unwind a Go body's
+// coroutine), hangs, watchdog restarts and ISR interference must hit both
+// forms at the same instants with the same recovery actions.
 func TestContEquivalenceFaultMatrix(t *testing.T) {
 	const horizon = sim.Ms
 	for _, eng := range engines() {
@@ -344,14 +351,13 @@ func multicoreContWorkload(form bodyForm, domain rtos.SchedDomain, horizon sim.T
 		if domain == rtos.DomainPartitioned {
 			cfg.Affinity = i % 2
 		}
-		body := func(c *rtos.TaskCtx, cycle int) {
-			c.Execute(sim.Time(25+5*i) * sim.Us)
-		}
 		name := fmt.Sprintf("t%d", i)
 		if form == bodyContinuation {
-			cpu.NewLoweredPeriodicTask(name, cfg, body)
+			cpu.NewPeriodicContTask(name, cfg, rtos.BuildProgram().Compute(sim.Time(25+5*i)*sim.Us).Build())
 		} else {
-			cpu.NewPeriodicTask(name, cfg, body)
+			cpu.NewPeriodicTask(name, cfg, func(c *rtos.TaskCtx, cycle int) {
+				c.Execute(sim.Time(25+5*i) * sim.Us)
+			})
 		}
 	}
 	sys.RunUntil(horizon)
@@ -361,7 +367,7 @@ func multicoreContWorkload(form bodyForm, domain rtos.SchedDomain, horizon sim.T
 
 // TestContEquivalenceMulticore extends the differential golden to multi-core
 // scheduling: partitioned affinity and global migration must place and move
-// continuation tasks across cores exactly as they do goroutine tasks.
+// Program tasks across cores exactly as they do Go-bodied tasks.
 func TestContEquivalenceMulticore(t *testing.T) {
 	const horizon = 2 * sim.Ms
 	for _, domain := range []rtos.SchedDomain{rtos.DomainPartitioned, rtos.DomainGlobal} {
@@ -376,16 +382,16 @@ func TestContEquivalenceMulticore(t *testing.T) {
 	}
 }
 
-// TestContMixedBodies runs goroutine and continuation tasks side by side on
-// one processor: the forms must interoperate through the shared ready queue
-// and communication objects. Checked against the all-goroutine reference.
+// TestContMixedBodies runs Go-bodied and Program tasks side by side on one
+// processor: the forms must interoperate through the shared ready queue and
+// communication objects. Checked against the all-Go reference.
 func TestContMixedBodies(t *testing.T) {
 	const horizon = sim.Ms
 	build := func(mixed bool) (string, *trace.Recorder) {
 		sys := rtos.NewSystem()
 		cpu := sys.NewProcessor("cpu0", rtos.Config{Overheads: rtos.UniformOverheads(sim.Us)})
 		ev := comm.NewEvent(sys.Rec, "tick", comm.Counter)
-		// Producer stays a goroutine in both builds.
+		// Producer stays a Go body in both builds.
 		cpu.NewTask("prod", rtos.TaskConfig{Priority: 2}, func(c *rtos.TaskCtx) {
 			for {
 				c.Execute(8 * sim.Us)
@@ -412,7 +418,7 @@ func TestContMixedBodies(t *testing.T) {
 	sigG, recG := build(false)
 	sigM, recM := build(true)
 	if sigG != sigM {
-		t.Fatalf("mixed-form traces diverge from all-goroutine reference:\n%s",
+		t.Fatalf("mixed-form traces diverge from the all-Go reference:\n%s",
 			trace.Diff(recG, recM, horizon, 8))
 	}
 }
@@ -430,9 +436,6 @@ func TestContOneShot(t *testing.T) {
 					WaitFor(5*sim.Us).
 					Compute(15*sim.Us).
 					Build())
-			if !tk.IsContinuation() {
-				t.Fatal("IsContinuation() = false for a continuation task")
-			}
 			sys.Run()
 			if got, want := tk.State(), trace.StateTerminated; got != want {
 				t.Errorf("state = %v, want %v", got, want)
@@ -450,9 +453,9 @@ func TestContOneShot(t *testing.T) {
 	}
 }
 
-// TestContResumeCounter checks that continuation activity is visible on the
-// rtos_continuation_resumes_total counter and that a goroutine-only system
-// leaves it at zero.
+// TestContResumeCounter checks that task driver activity is visible on the
+// rtos_continuation_resumes_total counter, for Program and Go bodies alike
+// (every task runs on a driver).
 func TestContResumeCounter(t *testing.T) {
 	get := func(sys *rtos.System) int64 {
 		m, ok := sys.Metrics.Snapshot().Get("rtos_continuation_resumes_total")
@@ -474,57 +477,10 @@ func TestContResumeCounter(t *testing.T) {
 	cpu2 := sys2.NewProcessor("cpu0", rtos.Config{})
 	cpu2.NewTask("g", rtos.TaskConfig{}, func(c *rtos.TaskCtx) { c.Execute(sim.Us) })
 	sys2.Run()
-	if v := get(sys2); v != 0 {
-		t.Errorf("goroutine-only system advanced the continuation counter to %d", v)
+	if v := get(sys2); v == 0 {
+		t.Error("Go-bodied task ran but resume counter is zero")
 	}
 	sys2.Shutdown()
-}
-
-// TestLowerBody checks the static-lowering classifier: pure
-// compute/sleep/yield/priority bodies lower; bodies that observe simulation
-// state or call the blocking comm API do not.
-func TestLowerBody(t *testing.T) {
-	if _, ok := rtos.LowerBody(func(c *rtos.TaskCtx) {
-		c.Execute(5 * sim.Us)
-		c.Delay(3 * sim.Us)
-		c.Yield()
-		c.SetPriority(4)
-		c.DisablePreemption()
-		c.Execute(sim.Us)
-		c.EnablePreemption()
-		c.SetDeadlineIn(100 * sim.Us)
-	}); !ok {
-		t.Error("pure op body did not lower")
-	}
-	if _, ok := rtos.LowerBody(func(c *rtos.TaskCtx) {
-		c.Execute(c.Now()) // observes the clock: input-dependent
-	}); ok {
-		t.Error("clock-observing body lowered; it must be rejected")
-	}
-	if _, ok := rtos.LowerBody(func(c *rtos.TaskCtx) {
-		_ = c.Name()
-	}); ok {
-		t.Error("name-observing body lowered; it must be rejected")
-	}
-}
-
-// TestLowerPeriodicBody checks the cycle-invariance requirement: a periodic
-// body lowers only when cycles 0 and 1 record the same op sequence.
-func TestLowerPeriodicBody(t *testing.T) {
-	if _, ok := rtos.LowerPeriodicBody(func(c *rtos.TaskCtx, cycle int) {
-		c.Execute(10 * sim.Us)
-	}); !ok {
-		t.Error("cycle-invariant periodic body did not lower")
-	}
-	if _, ok := rtos.LowerPeriodicBody(func(c *rtos.TaskCtx, cycle int) {
-		if cycle == 0 {
-			c.Execute(10 * sim.Us)
-		} else {
-			c.Delay(10 * sim.Us)
-		}
-	}); ok {
-		t.Error("cycle-varying periodic body lowered; it must be rejected")
-	}
 }
 
 // TestProgramLoops checks the program interpreter's loop semantics directly:
@@ -572,8 +528,10 @@ func TestProgramLoops(t *testing.T) {
 	rtos.BuildProgram().Loop(2).Compute(sim.Us).Build()
 }
 
-// TestContThreadGuards checks that the thread-only TaskCtx API panics with a
-// clear message when a continuation body's inline step tries to block.
+// TestContThreadGuards checks that the blocking TaskCtx API panics with a
+// clear message when a Program's inline step tries to block: the step runs
+// in kernel context, outside any Go body, and the panic names the call and
+// the task.
 func TestContThreadGuards(t *testing.T) {
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{})
@@ -585,14 +543,14 @@ func TestContThreadGuards(t *testing.T) {
 		if r == nil {
 			t.Fatal("Delay inside a continuation inline step did not panic")
 		}
-		if !strings.Contains(fmt.Sprint(r), "continuation") {
-			t.Errorf("panic message %q does not mention continuations", r)
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "Delay") || !strings.Contains(msg, `"bad"`) {
+			t.Errorf("panic message %q does not name the call and the task", msg)
 		}
 	}()
 	sys.Run()
 }
 
-// TestContAllocs pins the continuation engine's steady-state dispatch at zero
+// TestContAllocs pins the Program form's steady-state dispatch at zero
 // heap allocations: two continuation tasks ping-ponging through counter
 // events, with metrics on, must not allocate per switch round. This is the
 // continuation twin of TestAllocsPerContextSwitch.
@@ -628,23 +586,22 @@ func TestContAllocs(t *testing.T) {
 	}
 }
 
-// TestContFewerActivations verifies the perf claim motivating the engine: a
-// continuation-bodied system must need strictly fewer kernel thread
-// activations than the same system with goroutine bodies, because every task
-// switch runs inline on the method queue instead of waking a parked
-// goroutine.
+// TestContFewerActivations verifies that task switches cost no kernel
+// thread activation in either body form: under the procedural engine a
+// task-only system needs none at all, because every task runs on its driver
+// strand (a Go body as a coroutine of that strand), and the threaded engine
+// pays activations for its RTOS thread only.
 func TestContFewerActivations(t *testing.T) {
-	run := func(form bodyForm) uint64 {
+	run := func(form bodyForm, eng rtos.EngineKind) uint64 {
 		sys := rtos.NewSystem()
-		cpu := sys.NewProcessor("cpu0", rtos.Config{Overheads: rtos.UniformOverheads(sim.Us)})
+		cpu := sys.NewProcessor("cpu0", rtos.Config{Engine: eng, Overheads: rtos.UniformOverheads(sim.Us)})
 		for i := 0; i < 4; i++ {
 			cfg := rtos.TaskConfig{Period: sim.Time(100+30*i) * sim.Us, Priority: i + 1}
-			body := func(c *rtos.TaskCtx, cycle int) { c.Execute(sim.Time(20+5*i) * sim.Us) }
 			name := fmt.Sprintf("t%d", i)
 			if form == bodyContinuation {
-				cpu.NewLoweredPeriodicTask(name, cfg, body)
+				cpu.NewPeriodicContTask(name, cfg, rtos.BuildProgram().Compute(sim.Time(20+5*i)*sim.Us).Build())
 			} else {
-				cpu.NewPeriodicTask(name, cfg, body)
+				cpu.NewPeriodicTask(name, cfg, func(c *rtos.TaskCtx, cycle int) { c.Execute(sim.Time(20+5*i) * sim.Us) })
 			}
 		}
 		sys.RunUntil(2 * sim.Ms)
@@ -652,8 +609,12 @@ func TestContFewerActivations(t *testing.T) {
 		sys.Shutdown()
 		return acts
 	}
-	g, c := run(bodyGoroutine), run(bodyContinuation)
-	if c >= g {
-		t.Errorf("continuation bodies used %d activations, goroutine bodies %d; want strictly fewer", c, g)
+	for _, form := range []bodyForm{bodyGoroutine, bodyContinuation} {
+		if a := run(form, rtos.EngineProcedural); a != 0 {
+			t.Errorf("%v bodies: procedural engine used %d activations, want 0", form, a)
+		}
+		if a := run(form, rtos.EngineThreaded); a == 0 {
+			t.Errorf("%v bodies: threaded engine used no activations; its RTOS thread must run", form)
+		}
 	}
 }

@@ -9,11 +9,11 @@ import "repro/internal/trace"
 //
 // The engine holds no scheduling logic of its own — election, dispatch,
 // preemption checking and overhead accounting live in the shared schedCore
-// (schedcore.go). What this engine decides is *whose thread* runs them: the
-// context-save and scheduling durations on the thread of the task leaving
-// the processor, the context-load duration on the thread of the task that
-// was elected (Figure 5). The only kernel thread switches are those of the
-// application tasks, so the simulation runs with far fewer activations than
+// (schedcore.go). What this engine decides is *who* runs them: the
+// context-save and scheduling durations are charged by the task leaving the
+// processor, the context-load duration by the task that was elected (Figure
+// 5), each on its own driver (engine_cont.go). Scheduling adds no kernel
+// thread of its own, so the simulation runs with far fewer activations than
 // the threaded engine.
 type proceduralEngine struct {
 	cpu *Processor
@@ -21,11 +21,12 @@ type proceduralEngine struct {
 
 func (e *proceduralEngine) start() {}
 
-// taskIsReady is the paper's TaskIsReady primitive, executed on the caller's
-// thread. It never consumes the caller's simulated time: if an eligible core
-// is idle, the awakened task claims it and its own thread runs the scheduler
-// (grantSchedLoad); otherwise, if the scheduling policy allows preemption,
-// the ready task "sends the TaskPreempt event to the running task".
+// taskIsReady is the paper's TaskIsReady primitive, executed in the caller's
+// context. It never consumes the caller's simulated time: if an eligible
+// core is idle, the awakened task claims it and its own driver runs the
+// scheduler (grantSchedLoad); otherwise, if the scheduling policy allows
+// preemption, the ready task "sends the TaskPreempt event to the running
+// task".
 func (e *proceduralEngine) taskIsReady(t *Task) {
 	cpu := e.cpu
 	if t.state == trace.StateReady || t.state == trace.StateRunning || t.state == trace.StateTerminated {
@@ -33,43 +34,21 @@ func (e *proceduralEngine) taskIsReady(t *Task) {
 	}
 	cpu.enqueueReady(t)
 	if c := cpu.claimIdleCore(t); c != nil {
-		// Idle core: wake the task; its own thread charges the scheduling
-		// and load durations and re-elects after the scheduling window
-		// (another task arriving meanwhile may win).
+		// Idle core: wake the task; its driver charges the scheduling and
+		// load durations and re-elects after the scheduling window (another
+		// task arriving meanwhile may win).
 		t.grant(grantSchedLoad, c.id)
 		return
 	}
 	cpu.checkPreemptArrival(t)
 }
 
-// taskIsBlocked is the paper's TaskIsBlocked primitive: "it is called by a
-// task that enters the Waiting state. The scheduling algorithm must select
-// another task to run and notifies it with the TaskRun event." The switch
-// runs on the blocking task's own thread.
-func (e *proceduralEngine) taskIsBlocked(t *Task, s trace.TaskState) {
-	c := e.cpu.leaveRunning(t, s)
-	e.cpu.switchOutOn(t.proc, c, t)
-}
-
-// taskYield implements preemption (the paper's TaskIsPreempted, called "by
-// the running task when receiving the TaskPreempt event") and voluntary
-// yields: the task returns to the ready queue, performs the outgoing half of
-// the context switch on its own thread, and parks until elected again.
-func (e *proceduralEngine) taskYield(t *Task) {
-	c := e.cpu.leaveRunning(t, trace.StateReady)
-	e.cpu.switchOutOn(t.proc, c, t)
-	t.awaitDispatch()
-}
-
-func (e *proceduralEngine) taskFinished(t *Task) {
-	c := e.cpu.leaveRunning(t, trace.StateTerminated)
-	e.cpu.switchOutOn(t.proc, c, t)
-}
-
-// switchOutCont declines: the procedural engine runs the outgoing half on
-// the leaving task's own execution context, which for a continuation task
-// means its driver replays switchOutOn as a strand microprogram.
-func (e *proceduralEngine) switchOutCont(c *core, t *Task) bool { return false }
+// switchOut declines: the outgoing half runs on the leaving task's own
+// driver. That is the paper's TaskIsBlocked ("called by a task that enters
+// the Waiting state. The scheduling algorithm must select another task to
+// run and notifies it with the TaskRun event") and TaskIsPreempted (called
+// "by the running task when receiving the TaskPreempt event").
+func (e *proceduralEngine) switchOut(c *core, t *Task) bool { return false }
 
 func (e *proceduralEngine) reevaluate() {
 	e.cpu.reevaluateCores()

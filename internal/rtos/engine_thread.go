@@ -73,7 +73,7 @@ func (e *threadedEngine) run(p *sim.Proc, c *core) {
 			// with no settle in between (the procedural grantSchedLoad path
 			// follows the same protocol).
 			t := c.claimant
-			p.WaitDelta() // settle, mirroring the procedural idle wakeup
+			p.WaitDelta() // settle, as the procedural idle wakeup does
 			cpu.charge(p, trace.OverheadScheduling, nil, cpu.overheadCtxOn(c, nil))
 			p.WaitDelta()
 			cpu.clearClaim(t)
@@ -93,7 +93,7 @@ func (e *threadedEngine) run(p *sim.Proc, c *core) {
 			}
 		case c.running == nil && !c.switching && cpu.hasUnclaimedReady(c):
 			c.switching = true
-			p.WaitDelta() // settle, mirroring the procedural idle wakeup
+			p.WaitDelta() // settle, as the procedural idle wakeup does
 			cpu.dispatchOn(p, c)
 		case c.running != nil && !c.switching:
 			cpu.checkPreemptOn(c)
@@ -116,33 +116,9 @@ func (e *threadedEngine) taskIsReady(t *Task) {
 	e.rtkRun.Notify()
 }
 
-// taskIsBlocked hands the switch-out to the vacated core's RTOS thread; the
-// blocking task then parks. All overhead is charged on the RTOS thread
-// except the elected task's context load.
-func (e *threadedEngine) taskIsBlocked(t *Task, s trace.TaskState) {
-	c := e.cpu.leaveRunning(t, s)
-	e.outgoing[c.id].Push(t)
-	e.rtkRun.Notify()
-}
-
-func (e *threadedEngine) taskYield(t *Task) {
-	c := e.cpu.leaveRunning(t, trace.StateReady)
-	e.outgoing[c.id].Push(t)
-	e.rtkRun.Notify()
-	t.awaitDispatch()
-}
-
-func (e *threadedEngine) taskFinished(t *Task) {
-	c := e.cpu.leaveRunning(t, trace.StateTerminated)
-	e.outgoing[c.id].Push(t)
-	e.rtkRun.Notify()
-}
-
-// switchOutCont accepts: the vacated core's RTOS thread performs the save
-// and dispatch halves for continuation tasks exactly as it does for
-// goroutine tasks, so continuation drivers under this engine only ever see
-// grantLoad.
-func (e *threadedEngine) switchOutCont(c *core, t *Task) bool {
+// switchOut hands the switch-out to the vacated core's RTOS thread, which
+// charges all overhead except the elected task's context load.
+func (e *threadedEngine) switchOut(c *core, t *Task) bool {
 	e.outgoing[c.id].Push(t)
 	e.rtkRun.Notify()
 	return true

@@ -148,7 +148,7 @@ func (t *Task) InjectHangAt(at, dur sim.Time) {
 		}
 		t.hangPending = true
 		t.hangDur = dur
-		t.evPreempt.Notify() // wake an in-progress Execute
+		t.evRun.Notify() // wake an in-progress Execute
 	}, false, ev)
 	ev.NotifyAt(at)
 }
@@ -162,7 +162,7 @@ func (t *Task) requestAbort(reason string) {
 	t.abortReason = reason
 	switch t.state {
 	case trace.StateRunning:
-		t.evPreempt.Notify()
+		t.evRun.Notify()
 	case trace.StateWaiting:
 		if t.hung {
 			// Safe to wake: the hang parked the task without any
@@ -180,35 +180,9 @@ func (t *Task) requestAbort(reason string) {
 	}
 }
 
-// jobAborted is panicked inside a task goroutine at an abort checkpoint and
-// recovered by the job scope (the periodic-task wrapper or threadBody).
+// jobAborted is panicked inside a Go body's coroutine when its driver lands
+// an abort, and recovered by the coroutine's job scope (cobody.go).
 type jobAborted struct{}
-
-// abortJob unwinds the current job. Runs on the task's own goroutine.
-func (t *Task) abortJob() {
-	t.abortPending = false
-	panic(jobAborted{})
-}
-
-// enterHang blocks the task in place (Waiting state) for its pending hang.
-// Called from inside Execute on the task's own thread.
-func (t *Task) enterHang() {
-	t.hangPending = false
-	d := t.hangDur
-	detail := "stuck forever (watchdog recovery required)"
-	if d > 0 {
-		detail = fmt.Sprintf("stuck for %v", d)
-	}
-	t.cpu.rec.Fault(trace.FaultInjected, t.name, "hang", detail)
-	t.hung = true
-	if d > 0 {
-		t.armDelayWake()
-		t.delayEvent.NotifyIn(d)
-	}
-	t.cpu.eng.taskIsBlocked(t, trace.StateWaiting)
-	t.awaitDispatch()
-	t.hung = false
-}
 
 // IRQ fault injection -------------------------------------------------------
 

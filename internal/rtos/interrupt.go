@@ -129,6 +129,11 @@ func (cpu *Processor) Interrupts() *InterruptController {
 		}
 		ic.method = cpu.k.NewMethod(cpu.name+".irqctrl", ic.step, false,
 			ic.raiseEv, ic.stepEv, ic.bodyEv)
+		// Interrupt completion resumes the tasks an ISR paused: every task
+		// driver follows doneEv, those created later too (newContTask).
+		for _, t := range cpu.tasks {
+			t.drv.s.SensitiveTo(ic.doneEv)
+		}
 		cpu.irqCtrl = ic
 	}
 	return cpu.irqCtrl
@@ -297,7 +302,7 @@ func (ic *InterruptController) beginISR(irq *IRQ) bool {
 	// line (per-core interrupt routing is out of scope for this model).
 	for i := range cpu.cores {
 		if paused := cpu.cores[i].running; paused != nil {
-			paused.evPreempt.Notify()
+			paused.evRun.Notify()
 		}
 	}
 	cpu.rec.TaskState(irq.taskName, cpu.name, trace.StateRunning)

@@ -35,8 +35,8 @@ type procMetrics struct {
 	// processor's tasks; only advanced with inversion tracking enabled.
 	inversion *metrics.Counter
 
-	// contResumes counts continuation-driver strand resumes (engine_cont.go):
-	// the continuation engine's analogue of thread activations.
+	// contResumes counts task-driver strand resumes (engine_cont.go): the
+	// task side's analogue of thread activations.
 	contResumes *metrics.Counter
 
 	// readyDepth tracks the number of ready tasks across all queues; its

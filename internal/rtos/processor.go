@@ -15,8 +15,8 @@ type EngineKind uint8
 const (
 	// EngineProcedural integrates the RTOS behaviour into the task state
 	// transitions as procedure calls (paper section 4.2). It is the default:
-	// the paper selects it for simulation efficiency because the only kernel
-	// thread switches are those of the application tasks themselves.
+	// the paper selects it for simulation efficiency because scheduling adds
+	// no kernel thread switch of its own.
 	EngineProcedural EngineKind = iota
 	// EngineThreaded models the RTOS with a dedicated scheduler thread
 	// (paper section 4.1). Functionally identical, but every scheduling
@@ -41,25 +41,15 @@ type engine interface {
 	// task, a hardware process, a sim.Method); never consumes the caller's
 	// simulated time.
 	taskIsReady(t *Task)
-	// taskIsBlocked is called on t's own thread when it leaves the Running
-	// state for s (Waiting or WaitingResource). When it returns the switch
-	// has been initiated; the caller then parks in awaitDispatch.
-	taskIsBlocked(t *Task, s trace.TaskState)
-	// taskYield is called on t's own thread to give up the processor while
-	// staying ready (preemption or voluntary yield). It returns once the
-	// task is running again.
-	taskYield(t *Task)
-	// taskFinished is called on t's own thread when its behaviour returns.
-	taskFinished(t *Task)
 	// reevaluate re-examines the scheduling decision after a priority,
 	// deadline or preemption-mode change.
 	reevaluate()
-	// switchOutCont hands the outgoing half of a continuation task's context
-	// switch to the engine. It returns true when the engine performs it on a
-	// thread of its own (the threaded engine's per-core RTOS thread); false
-	// means the caller's driver must replay it as a strand microprogram (the
-	// procedural engine, which would have run it on the task's own thread).
-	switchOutCont(c *core, t *Task) bool
+	// switchOut hands the outgoing half of the context switch of task t,
+	// which just left core c (blocked, preempted, yielded or finished), to
+	// the engine. It returns true when the engine performs it on a thread
+	// of its own (the threaded engine's per-core RTOS thread); false means
+	// the task's driver runs it itself (the procedural engine).
+	switchOut(c *core, t *Task) bool
 	// start performs engine elaboration (spawning the RTOS thread).
 	start()
 }
@@ -301,51 +291,19 @@ func (cpu *Processor) CorePreemptions(coreID int) uint64 { return cpu.cores[core
 func (cpu *Processor) CoreMigrations(coreID int) uint64 { return cpu.cores[coreID].migrations }
 
 // NewTask creates a task on the processor. The behaviour function runs once;
-// write a loop inside it (or use NewPeriodicTask) for cyclic tasks.
+// write a loop inside it (or use NewPeriodicTask) for cyclic tasks. It runs
+// as a coroutine on the task's driver, so its blocking TaskCtx calls cost no
+// kernel thread switch.
 func (cpu *Processor) NewTask(name string, cfg TaskConfig, fn func(*TaskCtx)) *Task {
 	if fn == nil {
 		panic("rtos: NewTask with nil behaviour")
 	}
-	if cfg.Affinity < 0 || cfg.Affinity >= len(cpu.cores) {
-		panic(fmt.Sprintf("rtos: task %q affinity %d out of range for %d-core processor %q",
-			name, cfg.Affinity, len(cpu.cores), cpu.name))
-	}
-	if cfg.Affinity != 0 && cpu.domain == DomainGlobal {
-		panic(fmt.Sprintf("rtos: task %q sets a core affinity but processor %q schedules globally", name, cpu.name))
-	}
-	t := &Task{
-		name:      name,
-		cpu:       cpu,
-		cfg:       cfg,
-		fn:        fn,
-		basePrio:  cfg.Priority,
-		deadline:  sim.TimeMax,
-		period:    cfg.Period,
-		state:     trace.StateCreated,
-		affinity:  cfg.Affinity,
-		lastCore:  -1,
-		claimedBy: -1,
-	}
-	if cfg.Deadline > 0 {
-		// The configured relative deadline counts from the first release.
-		t.deadline = cfg.StartAt + cfg.Deadline
-	}
-	t.ctx = &TaskCtx{t: t}
-	t.evRun = cpu.k.NewEvent(name + ".TaskRun")
-	t.evPreempt = cpu.k.NewEvent(name + ".TaskPreempt")
-	t.proc = cpu.k.Spawn(name, t.threadBody)
-	cpu.tasks = append(cpu.tasks, t)
-	return t
+	return cpu.newContTask(name, cfg, nil, coBody{once: fn}, false, 0, nil)
 }
 
 // NewPeriodicTask creates a task released every cfg.Period (first release at
-// cfg.StartAt). Each cycle sets the absolute deadline from cfg.Deadline
-// (defaulting to the period), runs body, then sleeps until the next release.
-//
-// A deadline watchdog checks each cycle at its absolute deadline instant —
-// not at completion — so a miss is reported even for a cycle that never
-// completes (a starved task). If a cycle overruns its period the next
-// release happens immediately.
+// cfg.StartAt) that runs body once per cycle, with the release, deadline,
+// jitter and recovery semantics of NewPeriodicContTask.
 func (cpu *Processor) NewPeriodicTask(name string, cfg TaskConfig, body func(c *TaskCtx, cycle int)) *Task {
 	if cfg.Period <= 0 {
 		panic("rtos: NewPeriodicTask requires a positive period")
@@ -353,68 +311,13 @@ func (cpu *Processor) NewPeriodicTask(name string, cfg TaskConfig, body func(c *
 	if body == nil {
 		panic("rtos: NewPeriodicTask with nil body")
 	}
-	if cfg.Jitter < 0 || cfg.Jitter >= cfg.Period {
-		if cfg.Jitter != 0 {
-			panic("rtos: periodic release jitter must be in [0, period)")
-		}
-	}
-	relDeadline := cfg.Deadline
-	if relDeadline == 0 {
-		relDeadline = cfg.Period
-	}
-	w := newDeadlineWatch(cpu, name, cfg.StartAt+relDeadline)
-	tsk := cpu.NewTask(name, cfg, func(c *TaskCtx) {
-		t := c.Task()
-		// The release schedule anchors at the configured first release, not
-		// at the first dispatch: a task dispatched late (higher-priority
-		// load) still owes its work against the nominal period boundaries.
-		release := cfg.StartAt
-		for cycle := 0; ; cycle++ {
-			deadline := release + relDeadline
-			c.SetDeadline(deadline)
-			w.armCycle(cycle, deadline, c.Now())
-			if j := cpu.sys.releaseJitterFor(name, cycle, cfg.Jitter); j > 0 {
-				// Jittered activation; the deadline stays nominal.
-				c.DelayUntil(release + j)
-			}
-			aborted := t.runCycle(c, cycle, body)
-			w.completed = cycle
-			if aborted {
-				t.abortedCycles++
-				if t.restartPending {
-					// Restart recovery: re-release immediately with a fresh
-					// deadline counted from now.
-					t.restartPending = false
-					release = c.Now()
-					continue
-				}
-			} else {
-				t.completedCycles++
-				t.observeResponse(c.Now() - release)
-			}
-			release += cfg.Period
-			if t.skipNext {
-				// Skip-next recovery: surrender one release to catch up.
-				t.skipNext = false
-				release += cfg.Period
-			}
-			if release > c.Now() {
-				c.DelayUntil(release)
-			} else {
-				release = c.Now() // overrun: re-release immediately
-			}
-		}
-	})
-	w.tsk = tsk
-	tsk.registerTaskMetrics(cpu.sys.Metrics)
-	return tsk
+	return cpu.newPeriodicTask(name, cfg, nil, coBody{body: body})
 }
 
 // deadlineWatch is a periodic task's deadline watchdog: a kernel method
 // armed at each cycle's absolute deadline instant — not at completion — so a
 // miss is reported even for a cycle that never completes (a starved task).
-// Shared between the goroutine periodic wrapper (NewPeriodicTask) and the
-// continuation driver's periodic machinery (engine_cont.go).
+// The task driver's periodic machinery arms it (engine_cont.go).
 type deadlineWatch struct {
 	cpu  *Processor
 	name string
@@ -496,9 +399,9 @@ func releaseJitter(name string, cycle int, max sim.Time) sim.Time {
 }
 
 // overheadDur evaluates one overhead duration formula against the snapshot
-// octx. Split from charge so the continuation engine can evaluate at the
-// charge instant, park for the duration on its strand timer, and record on
-// wake — the exact sequence charge performs inline on a thread.
+// octx. Split from charge so a task driver can evaluate at the charge
+// instant, park for the duration on its strand timer, and record on wake —
+// the exact sequence charge performs inline on a thread.
 func (cpu *Processor) overheadDur(kind trace.OverheadKind, octx OverheadCtx) sim.Time {
 	switch kind {
 	case trace.OverheadScheduling:
@@ -512,7 +415,7 @@ func (cpu *Processor) overheadDur(kind trace.OverheadKind, octx OverheadCtx) sim
 }
 
 // recordCharge books one completed overhead charge into the metrics and the
-// trace: the tail half of charge, shared with the continuation engine.
+// trace: the tail half of charge, shared with the task driver.
 func (cpu *Processor) recordCharge(kind trace.OverheadKind, t *Task, coreID int, start, end sim.Time) {
 	name := ""
 	if t != nil {

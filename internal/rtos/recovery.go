@@ -89,38 +89,6 @@ func (t *Task) deadlineMissed(cycle int, deadline sim.Time) {
 	}
 }
 
-// runCycle runs one periodic cycle body, turning a job abort (injected
-// crash, miss policy, watchdog restart) into a recorded recovery and a
-// normal return instead of a dead simulation thread.
-func (t *Task) runCycle(c *TaskCtx, cycle int, body func(*TaskCtx, int)) (aborted bool) {
-	t.inJob = true
-	defer func() {
-		t.inJob = false
-		t.hangPending = false // a hang that never reached a checkpoint is moot
-		if r := recover(); r != nil {
-			if _, ok := r.(jobAborted); !ok {
-				panic(r)
-			}
-			aborted = true
-			label := t.abortReason
-			if label == "" {
-				label = "abort"
-			}
-			t.abortReason = ""
-			t.cpu.rec.Fault(trace.RecoveryTaken, t.name, label,
-				fmt.Sprintf("cycle %d aborted", cycle))
-		} else {
-			// The job completed before a requested abort reached a
-			// checkpoint: the request is stale, drop it.
-			t.abortPending = false
-			t.restartPending = false
-			t.abortReason = ""
-		}
-	}()
-	body(c, cycle)
-	return false
-}
-
 // Watchdog is a software watchdog timer owned by a processor: task code must
 // call Kick more often than the timeout or the watchdog fires, records a
 // WatchdogFired trace event and takes its recovery action — restarting the

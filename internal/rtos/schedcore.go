@@ -10,8 +10,8 @@ import (
 // This file is the schedCore: the one implementation of election, dispatch,
 // preemption checking and overhead accounting shared by both engine
 // implementations. The engines (engine_proc.go, engine_thread.go) only decide
-// *when* and *on whose thread* these primitives run — the paper's section
-// 4.1/4.2 comparison — never *what* they decide.
+// *when* and *by whom* these primitives run — the paper's section 4.1/4.2
+// comparison — never *what* they decide.
 
 // SchedDomain selects how a multi-core processor distributes its tasks.
 type SchedDomain uint8
@@ -280,9 +280,9 @@ func (cpu *Processor) hasUnclaimedReady(c *core) bool {
 	return len(q.tasks) > q.claims
 }
 
-// dispatchOn runs the dispatch half of a context switch on thread p for core
-// c: charge the scheduling duration, settle, elect, and grant the winner its
-// context load. With nothing ready (or every queued task claimed by another
+// dispatchOn runs the dispatch half of a context switch on the RTOS thread p
+// for core c: charge the scheduling duration, settle, elect, and grant the
+// winner its context load. With nothing ready (or every queued task claimed by another
 // core) the core goes idle. Returns the elected task, nil when none.
 func (cpu *Processor) dispatchOn(p *sim.Proc, c *core) *Task {
 	q := cpu.queueFor(c.id)
@@ -307,16 +307,17 @@ func (cpu *Processor) dispatchOn(p *sim.Proc, c *core) *Task {
 	return e
 }
 
-// switchOutOn runs the outgoing half of a context switch on thread p: charge
-// the context-save duration for task out leaving core c, settle so
-// same-instant arrivals join the ready queue, then dispatch.
+// switchOutOn runs the outgoing half of a context switch on the RTOS thread
+// p: charge the context-save duration for task out leaving core c, settle so
+// same-instant arrivals join the ready queue, then dispatch. The task
+// driver's switch-out microprogram is the same sequence (engine_cont.go).
 func (cpu *Processor) switchOutOn(p *sim.Proc, c *core, out *Task) *Task {
 	cpu.charge(p, trace.OverheadContextSave, out, cpu.overheadCtxOn(c, out))
 	p.WaitDelta()
 	return cpu.dispatchOn(p, c)
 }
 
-// finishDispatch completes a dispatch on the elected task's own thread: the
+// finishDispatch completes a dispatch on the elected task's own driver: the
 // task becomes core c's running task and the switch window closes. A switch
 // onto a different core than the previous dispatch is a migration (global
 // domain). If a preemption-worthy task arrived during the context load it is

@@ -161,8 +161,7 @@ func (cpu *Processor) NewDeferrableServer(name string, cfg ServerConfig) *Server
 	s.task = cpu.NewTask(name, TaskConfig{Priority: cfg.Priority}, func(c *TaskCtx) {
 		for {
 			for s.pending.Empty() || available(c.Now()) <= 0 {
-				c.t.cpu.eng.taskIsBlocked(c.t, trace.StateWaiting)
-				c.t.awaitDispatch()
+				c.Suspend(false, s.arrive.Name())
 			}
 			now := c.Now()
 			if idx := now / cfg.Period; idx != periodIdx {
@@ -231,8 +230,7 @@ func (cpu *Processor) NewSporadicServer(name string, cfg ServerConfig) *Server {
 	s.task = cpu.NewTask(name, TaskConfig{Priority: cfg.Priority}, func(c *TaskCtx) {
 		for {
 			for s.pending.Empty() || budget <= 0 {
-				c.t.cpu.eng.taskIsBlocked(c.t, trace.StateWaiting)
-				c.t.awaitDispatch()
+				c.Suspend(false, s.arrive.Name())
 			}
 			// One serving burst: the replenishment for everything consumed
 			// in this burst lands one period after the burst starts.

@@ -43,9 +43,7 @@ type System struct {
 func NewSystem() *System {
 	k := sim.New()
 	s := &System{K: k, Rec: trace.NewRecorder(k.Now), Metrics: metrics.NewRegistry()}
-	s.Constraints = &ConstraintSet{sys: s}
-	k.SetDiagnostic(s.diagnostic)
-	k.SetMetrics(s.Metrics)
+	s.init()
 	return s
 }
 
@@ -56,10 +54,14 @@ func NewSystem() *System {
 // bounded and allocation-free on the record path.
 func NewUntracedSystem() *System {
 	s := &System{K: sim.New(), Metrics: metrics.NewRegistry()}
+	s.init()
+	return s
+}
+
+func (s *System) init() {
 	s.Constraints = &ConstraintSet{sys: s}
 	s.K.SetDiagnostic(s.diagnostic)
 	s.K.SetMetrics(s.Metrics)
-	return s
 }
 
 // diagnostic produces the RTOS-level context lines attached to a

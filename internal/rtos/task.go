@@ -15,6 +15,12 @@
 // (section 4.2). Both produce identical simulated timing; the procedural
 // engine needs far fewer kernel thread switches and therefore simulates
 // faster, which is the paper's reason for selecting it.
+//
+// Tasks themselves run the way a SystemC thread does, as coroutines the
+// kernel resumes: every task is executed by a driver state machine on a
+// sim.Strand (engine_cont.go), and an ordinary Go body runs as a coroutine
+// that yields the driver one scheduling-relevant operation at a time
+// (cobody.go).
 package rtos
 
 import (
@@ -39,8 +45,8 @@ const (
 	StateTerminated      = trace.StateTerminated
 )
 
-// grantKind tells a task waking on its TaskRun event which part of the
-// dispatch overhead it must charge on its own thread.
+// grantKind tells a task's driver waking on its TaskRun event which part of
+// the dispatch overhead it must charge itself.
 type grantKind uint8
 
 const (
@@ -94,7 +100,6 @@ type Task struct {
 	name string
 	cpu  *Processor
 	cfg  TaskConfig
-	fn   func(*TaskCtx)
 
 	basePrio int
 	boosts   []int // priority-inheritance stack (effective = max)
@@ -114,22 +119,23 @@ type Task struct {
 	lastCore  int
 	claimedBy int
 
-	// proc is the task's simulation thread under the goroutine engines; nil
-	// for a continuation task, whose driver (cont) runs on a sim.Strand
-	// instead (engine_cont.go).
-	proc      *sim.Proc
-	cont      *contDriver
-	evRun     *sim.Event // the paper's TaskRun event
-	evPreempt *sim.Event // the paper's TaskPreempt event
+	// drv executes the task on a sim.Strand (engine_cont.go); co is the
+	// coroutine of a Go body (cobody.go), unused for a Program body.
+	drv contDriver
+	co  coBody
+	// evRun resumes the task's driver. It is both of the paper's task
+	// events, TaskRun (a grant) and TaskPreempt (a preemption request):
+	// the driver reads the cause from the task's flags.
+	evRun sim.Event
 
 	pendingGrant   grantKind
 	grantCore      int // core the pending grant dispatches onto
 	preemptPending bool
 	noPreemptDepth int
 
-	delayEvent *sim.Event // wakes Delay; lazily created
+	delayEvent *sim.Event // ends a timed sleep or a finite injected hang; lazily created
 
-	ctx *TaskCtx
+	ctx TaskCtx
 
 	// Fault-injection and recovery state (fault.go, recovery.go).
 	wcetFault      *WCETOverrun
@@ -221,10 +227,6 @@ func (t *Task) Migrations() uint64 { return t.migrations }
 // Affinity returns the core the task is pinned to under DomainPartitioned.
 func (t *Task) Affinity() int { return t.affinity }
 
-// IsContinuation reports whether the task runs on the continuation engine (a
-// driver strand) instead of a goroutine of its own.
-func (t *Task) IsContinuation() bool { return t.cont != nil }
-
 // CPUTime returns the total simulated processor time the task consumed.
 func (t *Task) CPUTime() sim.Time { return t.cpuTime }
 
@@ -252,7 +254,7 @@ func (t *Task) setState(s trace.TaskState) {
 	t.cpu.rec.TaskStateOn(t.name, t.cpu.name, c, s)
 }
 
-// grant elects the task onto core coreID: pendingGrant tells its thread what
+// grant elects the task onto core coreID: pendingGrant tells its driver what
 // overhead to charge; the TaskRun event wakes it if it is already parked.
 func (t *Task) grant(g grantKind, coreID int) {
 	t.pendingGrant = g
@@ -261,169 +263,77 @@ func (t *Task) grant(g grantKind, coreID int) {
 }
 
 // requestPreempt asks the running task to yield the processor. The flag
-// survives until the task reaches a preemption point (its Execute loop); the
-// event wakes it if it is inside one.
+// survives until the task reaches a preemption point (inside an Execute);
+// the event wakes its driver if it is inside one.
 func (t *Task) requestPreempt() {
 	t.preemptPending = true
-	t.evPreempt.Notify()
+	t.evRun.Notify()
 }
 
-// awaitDispatch parks the task's thread until it is elected, charging the
-// granted share of the dispatch overhead on its own thread, and returns with
-// the task in the Running state. This is the common half of both engines:
-// the context-load duration is always charged by the elected task itself.
-func (t *Task) awaitDispatch() {
-	cpu := t.cpu
-	for {
-		if t.pendingGrant == grantNone {
-			t.proc.WaitEvent(t.evRun)
-		}
-		g := t.pendingGrant
-		t.pendingGrant = grantNone
-		c := &cpu.cores[t.grantCore]
-		switch g {
-		case grantSchedLoad:
-			// Idle-core wakeup (procedural engine): this thread runs the
-			// scheduler for the core it claimed. Other tasks arriving during
-			// the scheduling window take part in the election; the settle
-			// deltas let same-instant arrivals join (and be seen by the
-			// overhead formula) even with zero overhead.
-			t.proc.WaitDelta()
-			cpu.charge(t.proc, trace.OverheadScheduling, nil, cpu.overheadCtxOn(c, nil))
-			t.proc.WaitDelta()
-			cpu.clearClaim(t)
-			elected := cpu.electOn(c)
-			if elected != t {
-				if elected != nil {
-					elected.grant(grantLoad, c.id)
-				} else {
-					c.switching = false
-				}
-				// Losing the election leaves this task unclaimed in the
-				// queue; if another eligible core sits idle (multi-core),
-				// claim it and re-run the scheduler there, otherwise wait.
-				if c2 := cpu.claimIdleCore(t); c2 != nil {
-					t.grant(grantSchedLoad, c2.id)
-				}
-				continue
-			}
-		case grantLoad:
-			// Elected by another thread; it already removed us from the
-			// ready queue.
-		default:
-			continue // spurious wake
-		}
-		cpu.charge(t.proc, trace.OverheadContextLoad, t, cpu.overheadCtxOn(c, t))
-		cpu.finishDispatch(t, c)
-		return
+// armDelayWake lazily creates the event (and wake method) that ends a
+// sleep; also used by a finite injected hang.
+func (t *Task) armDelayWake() *sim.Event {
+	if t.delayEvent == nil {
+		t.delayEvent = t.cpu.k.NewEvent(t.name + ".delay")
+		t.cpu.k.NewMethod(t.name+".delayWake", func() {
+			t.cpu.eng.taskIsReady(t)
+		}, false, t.delayEvent)
 	}
-}
-
-// threadBody is the task's simulation-thread entry point.
-func (t *Task) threadBody(p *sim.Proc) {
-	t.setState(trace.StateCreated)
-	if t.cfg.StartAt > 0 {
-		p.Wait(t.cfg.StartAt)
-	}
-	t.cpu.eng.taskIsReady(t)
-	t.awaitDispatch()
-	t.runBehaviour()
-	t.cpu.eng.taskFinished(t)
-}
-
-// runBehaviour runs the task function. A job abort that unwinds all the way
-// here (a one-shot task, or a crash outside the periodic cycle wrapper)
-// terminates the task early instead of killing the simulation.
-func (t *Task) runBehaviour() {
-	defer func() {
-		t.inJob = false
-		if r := recover(); r != nil {
-			if _, ok := r.(jobAborted); !ok {
-				panic(r)
-			}
-			t.abortedCycles++
-			label := t.abortReason
-			if label == "" {
-				label = "abort"
-			}
-			t.abortReason = ""
-			t.cpu.rec.Fault(trace.RecoveryTaken, t.name, label, "one-shot job aborted; task terminates")
-		}
-	}()
-	t.inJob = true
-	t.fn(t.ctx)
-	t.completedCycles++
+	return t.delayEvent
 }
 
 // TaskCtx is the API a task behaviour uses to interact with the RTOS model:
 // consume processor time, sleep, adjust priority and deadline, and toggle
 // preemption. It also implements the comm.Actor contract so the task can use
 // the communication relations of package comm.
+//
+// The blocking primitives (Execute, Delay, DelayUntil, SleepFor, Yield,
+// Suspend) yield the matching op to the task's driver, so they may only be
+// called from the task's own Go body, which runs as a coroutine. A Program
+// step (ProgramBuilder.Do) runs in kernel context and must use yield ops
+// instead; a blocking call there panics with the call's name.
 type TaskCtx struct {
-	t *Task
-	// lower, when non-nil, puts the context in recording mode (lower.go):
-	// the recordable primitives append ops instead of simulating, and any
-	// call that observes the simulation aborts the recording. Only the
-	// throwaway contexts of LowerBody set it.
-	lower *lowerRec
+	t  *Task
+	co *coBody // the task's body coroutine; nil for a Program body
 }
 
-// requireThread guards the blocking primitives against continuation tasks,
-// which have no goroutine to park: their bodies express the same operations
-// as yield ops (yield.go).
-func (c *TaskCtx) requireThread(call string) {
-	if c.t.proc == nil {
-		panic(fmt.Sprintf("rtos: %s called by continuation task %q; continuation bodies must use yield ops", call, c.t.name))
+// await yields y to the task's driver from inside the body coroutine and
+// returns once the driver resumes the body: the op completed. A job abort
+// requested meanwhile unwinds the body from here.
+func (c *TaskCtx) await(call string, y Yield) {
+	b := c.co
+	if b != nil && b.closing {
+		panic(coStop{})
+	}
+	if b == nil || !b.running {
+		panic(fmt.Sprintf("rtos: %s called by task %q outside its Go body; a Program step runs in kernel context and must use yield ops", call, c.t.name))
+	}
+	if !b.yield(y) {
+		panic(coStop{})
+	}
+	if b.aborting {
+		b.aborting = false
+		panic(jobAborted{})
 	}
 }
 
 // Task returns the underlying task.
-func (c *TaskCtx) Task() *Task {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
-	return c.t
-}
+func (c *TaskCtx) Task() *Task { return c.t }
 
 // Name returns the task name (also the comm.Actor name).
-func (c *TaskCtx) Name() string {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
-	return c.t.name
-}
+func (c *TaskCtx) Name() string { return c.t.name }
 
 // Priority returns the task's effective priority (comm.Actor contract).
-func (c *TaskCtx) Priority() int {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
-	return c.t.EffectivePriority()
-}
+func (c *TaskCtx) Priority() int { return c.t.EffectivePriority() }
 
 // Now returns the current simulated time.
-func (c *TaskCtx) Now() sim.Time {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
-	return c.t.cpu.k.Now()
-}
+func (c *TaskCtx) Now() sim.Time { return c.t.cpu.k.Now() }
 
 // Kernel returns the simulation kernel.
-func (c *TaskCtx) Kernel() *sim.Kernel {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
-	return c.t.cpu.k
-}
+func (c *TaskCtx) Kernel() *sim.Kernel { return c.t.cpu.k }
 
 // Recorder returns the trace recorder (comm.Actor contract).
-func (c *TaskCtx) Recorder() *trace.Recorder {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
-	return c.t.cpu.rec
-}
+func (c *TaskCtx) Recorder() *trace.Recorder { return c.t.cpu.rec }
 
 // Execute consumes d of processor time. This is the paper's time-annotated
 // processing: the task occupies the processor for a total of d, but may be
@@ -431,92 +341,11 @@ func (c *TaskCtx) Recorder() *trace.Recorder {
 // exactly at the preemption instant (the TaskIsPreempted behaviour of
 // section 4.2), so the model's preemption accuracy does not depend on any
 // clock resolution.
-func (c *TaskCtx) Execute(d sim.Time) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recCompute, d: d})
-		return
-	}
-	c.requireThread("Execute")
-	if d < 0 {
-		panic("rtos: Execute with negative duration")
-	}
-	t := c.t
-	if t.state != trace.StateRunning {
-		panic(fmt.Sprintf("rtos: Execute called by task %q in state %v", t.name, t.state))
-	}
-	remaining := t.inflateWCET(t.cpu.scaleExec(d))
-	for remaining > 0 {
-		// Abort and hang checkpoints: an injected crash, a deadline-miss
-		// recovery or a watchdog restart takes effect here; an injected hang
-		// parks the task in place, preserving the remaining duration.
-		if t.abortPending {
-			t.abortJob()
-		}
-		if t.hangPending {
-			t.enterHang()
-			continue
-		}
-		if ic := t.cpu.irqCtrl; ic != nil && ic.active != nil {
-			// An ISR has borrowed the processor: wait in place (no RTOS
-			// call, no context switch) until interrupt handling completes.
-			// The remaining duration is untouched: the task did not run.
-			t.proc.WaitEvent(ic.doneEv)
-			continue
-		}
-		if t.preemptPending && t.preemptible() {
-			t.cpu.eng.taskYield(t)
-			continue
-		}
-		t.preemptPending = false // stale request while non-preemptible
-		start := t.proc.Now()
-		_, timedOut := t.proc.WaitTimeout(remaining, t.evPreempt)
-		elapsed := t.proc.Now() - start
-		remaining -= elapsed
-		t.cpuTime += elapsed
-		t.cpu.met.coreBusy[t.lastCore].Add(uint64(elapsed))
-		if timedOut {
-			break
-		}
-		// Woken by TaskPreempt: loop re-checks the ISR and preemption
-		// conditions; a request received while non-preemptible is dropped
-		// and execution resumes.
-	}
-}
+func (c *TaskCtx) Execute(d sim.Time) { c.await("Execute", Compute(d)) }
 
 // Delay suspends the task for duration d (Waiting state): the task does not
 // use the processor and becomes ready again when the delay expires.
-func (c *TaskCtx) Delay(d sim.Time) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recSleep, d: d})
-		return
-	}
-	c.requireThread("Delay")
-	if d < 0 {
-		panic("rtos: Delay with negative duration")
-	}
-	t := c.t
-	if d == 0 {
-		return
-	}
-	t.armDelayWake()
-	t.delayEvent.NotifyIn(d)
-	t.cpu.eng.taskIsBlocked(t, trace.StateWaiting)
-	t.awaitDispatch()
-	if t.abortPending {
-		t.abortJob()
-	}
-}
-
-// armDelayWake lazily creates the event (and wake method) that ends a Delay;
-// also reused by an injected finite hang.
-func (t *Task) armDelayWake() {
-	if t.delayEvent == nil {
-		t.delayEvent = t.cpu.k.NewEvent(t.name + ".delay")
-		t.cpu.k.NewMethod(t.name+".delayWake", func() {
-			t.cpu.eng.taskIsReady(t)
-		}, false, t.delayEvent)
-	}
-}
+func (c *TaskCtx) Delay(d sim.Time) { c.await("Delay", WaitFor(d)) }
 
 // SleepFor suspends the task for d without using the processor; it makes
 // TaskCtx satisfy the bus.Sleeper contract (a DMA-style transfer frees the
@@ -533,64 +362,31 @@ func (c *TaskCtx) DelayUntil(at sim.Time) {
 
 // Yield voluntarily releases the processor: the task returns to the ready
 // queue and the scheduler elects the next task (possibly this one again).
-func (c *TaskCtx) Yield() {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recYield})
-		return
-	}
-	c.requireThread("Yield")
-	c.t.cpu.eng.taskYield(c.t)
-}
+func (c *TaskCtx) Yield() { c.await("Yield", YieldCPU()) }
 
 // SetPriority changes the task's base priority at run time.
-func (c *TaskCtx) SetPriority(p int) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recSetPrio, p: p})
-		return
-	}
-	c.t.SetBasePriority(p)
-}
+func (c *TaskCtx) SetPriority(p int) { c.t.SetBasePriority(p) }
 
 // SetDeadline sets the task's absolute deadline (for the EDF policy).
 func (c *TaskCtx) SetDeadline(at sim.Time) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recSetDeadlineAt, d: at})
-		return
-	}
 	c.t.deadline = at
 	c.t.cpu.invalidateReadyBest()
 	c.t.cpu.eng.reevaluate()
 }
 
 // SetDeadlineIn sets the task's deadline relative to the current time.
-func (c *TaskCtx) SetDeadlineIn(d sim.Time) {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recSetDeadlineIn, d: d})
-		return
-	}
-	c.SetDeadline(c.Now() + d)
-}
+func (c *TaskCtx) SetDeadlineIn(d sim.Time) { c.SetDeadline(c.Now() + d) }
 
 // DisablePreemption enters a critical region during which the task cannot
 // be preempted (paper section 3.1: "the preemptive/non-preemptive mode can
 // be changed during the simulation. This enables to model critical regions
 // during which task preemption is not allowed"). Calls nest.
-func (c *TaskCtx) DisablePreemption() {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recNoPreemptOn})
-		return
-	}
-	c.t.noPreemptDepth++
-}
+func (c *TaskCtx) DisablePreemption() { c.t.noPreemptDepth++ }
 
 // EnablePreemption leaves a critical region opened by DisablePreemption.
 // If a preemption request arrived meanwhile it takes effect at the task's
 // next preemption point.
 func (c *TaskCtx) EnablePreemption() {
-	if c.lower != nil {
-		c.lower.add(recOp{kind: recNoPreemptOff})
-		return
-	}
 	t := c.t
 	if t.noPreemptDepth == 0 {
 		panic("rtos: EnablePreemption without matching DisablePreemption")
@@ -603,37 +399,21 @@ func (c *TaskCtx) EnablePreemption() {
 
 // Suspend blocks the task on an external condition (comm.Actor contract):
 // resource selects the WaitingResource state (mutual exclusion) over the
-// plain Waiting state. The call returns when some actor calls Resume and the
+// plain Waiting state. The caller has already registered the task as a
+// waiter of object; the call returns when some actor calls Resume and the
 // scheduler elects the task again.
 func (c *TaskCtx) Suspend(resource bool, object string) {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
-	c.requireThread("Suspend")
-	s := trace.StateWaiting
-	if resource {
-		s = trace.StateWaitingResource
-	}
-	c.t.cpu.eng.taskIsBlocked(c.t, s)
-	c.t.awaitDispatch()
+	c.await("Suspend", Yield{kind: yieldSuspend, resource: resource, object: object})
 }
 
 // Resume makes a suspended task ready again (comm.Actor contract). It is
 // safe to call from any simulation context (another task, a hardware
 // process, a sim.Method) and never consumes the caller's simulated time.
-func (c *TaskCtx) Resume() {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
-	c.t.cpu.eng.taskIsReady(c.t)
-}
+func (c *TaskCtx) Resume() { c.t.cpu.eng.taskIsReady(c.t) }
 
 // BoostPriority raises the task's effective priority to at least p
 // (priority-inheritance support for comm.Mutex).
 func (c *TaskCtx) BoostPriority(p int) {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	c.t.boosts = append(c.t.boosts, p)
 	c.t.cpu.invalidateReadyBest()
 	c.t.cpu.eng.reevaluate()
@@ -641,9 +421,6 @@ func (c *TaskCtx) BoostPriority(p int) {
 
 // UnboostPriority undoes the most recent BoostPriority.
 func (c *TaskCtx) UnboostPriority() {
-	if c.lower != nil {
-		panic(lowerAbort{})
-	}
 	n := len(c.t.boosts)
 	if n == 0 {
 		panic("rtos: UnboostPriority without matching BoostPriority")

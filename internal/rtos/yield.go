@@ -5,14 +5,16 @@ import (
 	"repro/internal/sim"
 )
 
-// This file defines the yield-op vocabulary of the continuation task engine
-// (engine_cont.go). A continuation task body is an explicit state machine:
-// instead of calling the blocking TaskCtx primitives from a goroutine, it
-// returns a Yield describing the next scheduling-relevant operation and is
-// resumed inline — on the kernel's own goroutine — when that operation
-// completes. The yield ops mirror the blocking API one for one:
+// This file defines the yield-op vocabulary of the task driver
+// (engine_cont.go). Every task body reaches the driver as a Continuation: a
+// resumable body that returns a Yield describing its next
+// scheduling-relevant operation and is resumed — on the kernel's own
+// goroutine — when that operation completes. An ordinary Go body is
+// adapted by running it as a coroutine whose blocking TaskCtx calls yield
+// these ops (cobody.go); a Program spells them out. The two forms map one
+// for one:
 //
-//	goroutine body            continuation body
+//	Go body                   Program / Continuation
 //	ctx.Execute(d)            Compute(d)
 //	ctx.Delay(d)              WaitFor(d)
 //	ctx.Yield()               YieldCPU()
@@ -48,6 +50,9 @@ const (
 	yieldYieldCPU
 	yieldAcquire
 	yieldAwait
+	// yieldSuspend blocks on a relation whose own attempt already queued the
+	// task as a waiter (TaskCtx.Suspend, the comm.Actor contract).
+	yieldSuspend
 )
 
 // Yield is one scheduling-relevant operation of a continuation task body.
@@ -58,6 +63,8 @@ type Yield struct {
 	// resource selects the WaitingResource trace state for blocking acquire
 	// ops (mutual exclusion) over the plain Waiting state.
 	resource bool
+	// object names the relation a blocking op waits on, for diagnosis.
+	object string
 	// dur computes a data-dependent Compute duration at run time.
 	dur func(*TaskCtx) sim.Time
 	// attempt is the non-suspending half of a blocking operation: it either
@@ -96,6 +103,7 @@ func (y Yield) IsFinish() bool { return y.kind == yieldFinish }
 func WaitOn(e *comm.Event) Yield {
 	return Yield{
 		kind:    yieldAwait,
+		object:  e.Name(),
 		attempt: func(c *TaskCtx) bool { return e.WaitAttempt(c) },
 		wake:    func(c *TaskCtx) { e.WaitWake(c) },
 	}
@@ -109,6 +117,7 @@ func LockMutex(m *comm.Mutex) Yield {
 	return Yield{
 		kind:     yieldAcquire,
 		resource: true,
+		object:   m.Name(),
 		attempt:  func(c *TaskCtx) bool { return m.LockAttempt(c) },
 	}
 }
@@ -118,6 +127,7 @@ func LockMutex(m *comm.Mutex) Yield {
 func PutMsg[T any](q *comm.Queue[T], v T) Yield {
 	return Yield{
 		kind:    yieldAcquire,
+		object:  q.Name(),
 		attempt: func(c *TaskCtx) bool { return q.PutAttempt(c, v) },
 	}
 }
@@ -127,7 +137,8 @@ func PutMsg[T any](q *comm.Queue[T], v T) Yield {
 // *dst (pass nil to discard it).
 func GetMsg[T any](q *comm.Queue[T], dst *T) Yield {
 	return Yield{
-		kind: yieldAcquire,
+		kind:   yieldAcquire,
+		object: q.Name(),
 		attempt: func(c *TaskCtx) bool {
 			v, ok := q.GetAttempt(c)
 			if ok && dst != nil {

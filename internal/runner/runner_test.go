@@ -93,9 +93,6 @@ func TestRunOptionOverrides(t *testing.T) {
 	if _, err := Run(data, Options{Engine: "quantum"}, "f"); err == nil {
 		t.Error("bad engine override accepted")
 	}
-	if _, err := Run(data, Options{TaskEngine: "fiber"}, "f"); err == nil {
-		t.Error("bad task-engine override accepted")
-	}
 	if _, err := Run(data, Options{Until: "not-a-duration"}, "f"); err == nil {
 		t.Error("bad until override accepted")
 	}

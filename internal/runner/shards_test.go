@@ -8,8 +8,8 @@ import (
 
 // The partition-of-one configuration must reproduce the sequential engine
 // byte-identically: same report bytes, same artifact bytes, same outcome —
-// across both processor engines, both task-body engines, both timed-queue
-// backends, and fault injection. The parallel driver runs the very same
+// across both processor engines, both timed-queue backends, and fault
+// injection. The parallel driver runs the very same
 // elaboration (BuildShard with one group falls through to the sequential
 // build), so any divergence here is a bug in the engine or the runner's
 // shared composition path.
@@ -27,18 +27,11 @@ func TestSingleShardByteIdenticalToSequential(t *testing.T) {
 		{"full-report", Options{Timeline: true, Chronology: true, Analyze: true,
 			Artifacts: []string{"csv", "vcd", "json", "svg", "perfetto", "metrics", "prom"}}},
 		{"threaded", Options{Engine: "threaded", Artifacts: []string{"csv", "metrics"}}},
-		{"continuation", Options{TaskEngine: "continuation", Chronology: true}},
+		{"chronology", Options{Chronology: true}},
 	}
 	for _, name := range scenarios {
 		data := readScenario(t, name)
 		for _, v := range variants {
-			if v.opts.TaskEngine == "continuation" {
-				// Bus send/recv bodies have no continuation form; skip the
-				// scenarios the override cannot validate on.
-				if _, err := Prepare(data, v.opts); err != nil {
-					continue
-				}
-			}
 			seqOpts, parOpts := v.opts, v.opts
 			parOpts.Shards = 1
 			seq, err := Run(data, seqOpts, name)

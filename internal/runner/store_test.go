@@ -31,9 +31,9 @@ func TestStoresTraceOnlyForRecordReaders(t *testing.T) {
 }
 
 // A statistics-only run reports exactly what a run that stores the trace
-// reports, for every shipped scenario on both processor engines and both
-// task engines. The storing run asks for the JSON trace artifact, which is
-// not part of the report.
+// reports, for every shipped scenario on both processor engines. The
+// storing run asks for the JSON trace artifact, which is not part of the
+// report.
 func TestStatsOnlyReportMatchesStoredTrace(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
 	if err != nil || len(files) == 0 {
@@ -46,28 +46,23 @@ func TestStatsOnlyReportMatchesStoredTrace(t *testing.T) {
 		}
 		data := readScenario(t, name)
 		for _, engine := range []string{"procedural", "threaded"} {
-			for _, taskEngine := range []string{"goroutine", "continuation"} {
-				opts := Options{Engine: engine, TaskEngine: taskEngine}
-				if _, err := Prepare(data, opts); err != nil {
-					continue // bus send/recv bodies have no continuation form
-				}
-				stored := opts
-				stored.Artifacts = []string{"json"}
-				a, err := Run(data, opts, name)
-				if err != nil {
-					t.Fatalf("%s %s/%s: %v", name, engine, taskEngine, err)
-				}
-				b, err := Run(data, stored, name)
-				if err != nil {
-					t.Fatalf("%s %s/%s storing: %v", name, engine, taskEngine, err)
-				}
-				if !bytes.Equal(a.Report, b.Report) {
-					t.Errorf("%s %s/%s: statistics-only report differs\n--- statistics only ---\n%s\n--- stored trace ---\n%s",
-						name, engine, taskEngine, a.Report, b.Report)
-				}
-				if a.ExitCode() != b.ExitCode() {
-					t.Errorf("%s %s/%s: exit %d vs %d", name, engine, taskEngine, a.ExitCode(), b.ExitCode())
-				}
+			opts := Options{Engine: engine}
+			stored := opts
+			stored.Artifacts = []string{"json"}
+			a, err := Run(data, opts, name)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, engine, err)
+			}
+			b, err := Run(data, stored, name)
+			if err != nil {
+				t.Fatalf("%s %s storing: %v", name, engine, err)
+			}
+			if !bytes.Equal(a.Report, b.Report) {
+				t.Errorf("%s %s: statistics-only report differs\n--- statistics only ---\n%s\n--- stored trace ---\n%s",
+					name, engine, a.Report, b.Report)
+			}
+			if a.ExitCode() != b.ExitCode() {
+				t.Errorf("%s %s: exit %d vs %d", name, engine, a.ExitCode(), b.ExitCode())
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bus"
 	"repro/internal/comm"
@@ -27,11 +26,6 @@ type Built struct {
 	Servers     map[string]*rtos.Server
 	Tasks       map[string]*rtos.Task
 	Watchdogs   map[string]*rtos.Watchdog
-
-	// AutoLowered names the tasks (sorted) whose unset engine field was
-	// auto-selected onto the continuation engine because their body lowered
-	// cleanly via rtos.LowerBody; see System.AutoEngine.
-	AutoLowered []string
 
 	// traceCursors tracks each named duration trace's position; a trace has
 	// one global cursor shared by all its execute_trace sites, advancing
@@ -330,45 +324,29 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		case "restart":
 			cfg.OnMiss = rtos.MissRestartTask
 		}
-		if t.Engine == "" && s.autoEngine() && !t.Loop && len(t.Body) > 0 && autoLowerable(t.Body) {
-			// The engine is unset and the body is made only of purely
-			// recordable ops, so probe it with the real lowering machinery:
-			// run the goroutine closure against a recording TaskCtx and, when
-			// it lowers cleanly, run the task on the continuation engine with
-			// the recorded Program. The autoLowerable pre-check is what makes
-			// the probe safe — recording interprets the body once at
-			// elaboration time, so ops with effects outside the TaskCtx
-			// (raise, signal, tryput, execute_trace) must never reach it.
-			if prog, ok := b.lowerTask(t); ok {
-				b.AutoLowered = append(b.AutoLowered, t.Name)
-				if t.Period > 0 {
-					b.Tasks[t.Name] = cpu.NewPeriodicContTask(t.Name, cfg, prog)
-				} else {
-					b.Tasks[t.Name] = cpu.NewContTask(t.Name, cfg, prog)
-				}
-				continue
-			}
-		}
-		if t.Engine == "continuation" {
+		// The engine field selects nothing: the body's ops decide its form.
+		if !t.Loop && plainOps(t.Body) {
 			pb := rtos.BuildProgram()
 			if t.Period > 0 {
-				b.compileOps(pb, t.Body)
+				compileOps(pb, t.Body)
 				b.Tasks[t.Name] = cpu.NewPeriodicContTask(t.Name, cfg, pb.Build())
 				continue
 			}
-			if t.Loop {
-				pb.Loop(-1)
-			} else {
-				pb.Loop(max(1, t.Repeat))
-			}
-			b.compileOps(pb, t.Body)
+			pb.Loop(max(1, t.Repeat))
+			compileOps(pb, t.Body)
 			pb.End()
 			b.Tasks[t.Name] = cpu.NewContTask(t.Name, cfg, pb.Build())
 			continue
 		}
+		// Every other body runs through the behaviour interpreter, on the
+		// task's body coroutine.
 		if t.Period > 0 {
+			var ops opActor
 			b.Tasks[t.Name] = cpu.NewPeriodicTask(t.Name, cfg, func(c *rtos.TaskCtx, cycle int) {
-				b.runOps(swOps(c), t.Body)
+				if ops.actor == nil {
+					ops = swOps(c)
+				}
+				b.runOps(ops, t.Body)
 			})
 			continue
 		}
@@ -384,7 +362,6 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 			}
 		})
 	}
-	sort.Strings(b.AutoLowered)
 	for _, h := range s.Hardware {
 		if f != nil && !f.hardware[h.Name] {
 			continue
@@ -595,25 +572,18 @@ func (b *Built) runOps(a opActor, ops []Op) {
 	}
 }
 
-// autoEngine reports whether automatic task-engine selection is enabled for
-// the scenario: on unless the description says "autoEngine": false.
-func (s *System) autoEngine() bool {
-	return s.AutoEngine == nil || *s.AutoEngine
-}
-
-// autoLowerable reports whether every op in the body belongs to the purely
-// recordable subset of the behaviour language: ops that map one-to-one onto
-// the TaskCtx calls rtos.LowerBody records (execute, delay, yield, the
-// preemption toggles, setprio) plus bounded repeat over the same subset.
-// Anything else — comm relations, IRQ raises, traces, watchdog kicks — either
-// has effects outside the TaskCtx or depends on simulation state, so it must
-// never run against a recording context.
-func autoLowerable(ops []Op) bool {
+// plainOps reports whether a body is made only of the ops that touch
+// nothing but the task itself — execute, delay, yield, the preemption
+// toggles, setprio — and repeats of them. Such a body has a Program form:
+// the task runs it without a coroutine, and, like every Program task, it
+// starts before the tasks whose bodies run as coroutines (see
+// rtos.NewTask).
+func plainOps(ops []Op) bool {
 	for _, op := range ops {
 		switch op.Op {
 		case "execute", "delay", "yield", "nopreempt_begin", "nopreempt_end", "setprio":
 		case "repeat":
-			if !autoLowerable(op.Body) {
+			if !plainOps(op.Body) {
 				return false
 			}
 		default:
@@ -623,102 +593,31 @@ func autoLowerable(ops []Op) bool {
 	return true
 }
 
-// lowerTask probes one auto-lowerable task body with the rtos lowering
-// machinery and returns the recorded Program. Lowering can still fail here —
-// a deeply nested repeat can overflow the recording bound — in which case the
-// task keeps the goroutine engine.
-func (b *Built) lowerTask(t SWTask) (*rtos.Program, bool) {
-	if t.Period > 0 {
-		return rtos.LowerPeriodicBody(func(c *rtos.TaskCtx, cycle int) {
-			b.runOps(swOps(c), t.Body)
-		})
-	}
-	return rtos.LowerBody(func(c *rtos.TaskCtx) {
-		for i := 0; i < max(1, t.Repeat); i++ {
-			b.runOps(swOps(c), t.Body)
-		}
-	})
-}
-
-// compileOps translates a behaviour script into continuation program ops,
-// mirroring runOps one for one: blocking ops become yield ops, non-blocking
-// ops become inline steps, repeat becomes a counted loop. Validation
-// guarantees the ops are continuation-expressible (no send/recv).
-func (b *Built) compileOps(pb *rtos.ProgramBuilder, ops []Op) {
+// compileOps translates a plain body into program ops, mirroring runOps one
+// for one: execute, delay and yield become yield ops, the other plain ops
+// inline steps, repeat a counted loop.
+func compileOps(pb *rtos.ProgramBuilder, ops []Op) {
 	for _, op := range ops {
-		op := op
 		switch op.Op {
 		case "execute":
 			pb.Compute(op.For.Time())
-		case "execute_trace":
-			pb.ComputeFn(func(c *rtos.TaskCtx) sim.Time {
-				tr := b.Desc.Traces[op.Trace]
-				i := b.traceCursors[op.Trace]
-				b.traceCursors[op.Trace] = (i + 1) % len(tr)
-				return tr[i].Time()
-			})
 		case "delay":
 			pb.WaitFor(op.For.Time())
-		case "wait":
-			pb.WaitOn(b.Events[op.Event])
-		case "signal":
-			pb.Signal(b.Events[op.Event])
-		case "put":
-			pb.Op(rtos.PutMsg(b.Queues[op.Queue], op.Value))
-		case "tryput":
-			pb.Do(func(c *rtos.TaskCtx) { b.Queues[op.Queue].TryPut(c, op.Value) })
-		case "get":
-			pb.Op(rtos.GetMsg(b.Queues[op.Queue], nil))
-		case "raise":
-			pb.Do(func(c *rtos.TaskCtx) { b.IRQs[op.IRQ].Raise() })
-		case "submit":
-			pb.Do(func(c *rtos.TaskCtx) {
-				job := rtos.AperiodicJob{Work: op.For.Time()}
-				if op.Constraint != "" {
-					mon := b.Constraints[op.Constraint]
-					job.Done = mon.Stop
-				}
-				b.Servers[op.Server].Submit(job)
-			})
-		case "lock":
-			pb.Lock(b.Shared[op.Shared].Mutex())
-		case "unlock":
-			pb.Do(func(c *rtos.TaskCtx) { b.Shared[op.Shared].Unlock(c) })
-		case "read":
-			// Shared.Read is lock + get + unlock; only the lock can block.
-			pb.Lock(b.Shared[op.Shared].Mutex())
-			pb.Do(func(c *rtos.TaskCtx) {
-				sv := b.Shared[op.Shared]
-				sv.Get(c)
-				sv.Unlock(c)
-			})
-		case "write":
-			pb.Lock(b.Shared[op.Shared].Mutex())
-			pb.Do(func(c *rtos.TaskCtx) {
-				sv := b.Shared[op.Shared]
-				sv.Set(c, op.Value)
-				sv.Unlock(c)
-			})
+		case "yield":
+			pb.Yield()
 		case "nopreempt_begin":
 			pb.Do(func(c *rtos.TaskCtx) { c.DisablePreemption() })
 		case "nopreempt_end":
 			pb.Do(func(c *rtos.TaskCtx) { c.EnablePreemption() })
 		case "setprio":
-			pb.Do(func(c *rtos.TaskCtx) { c.SetPriority(op.Value) })
-		case "yield":
-			pb.Yield()
-		case "lat_start":
-			pb.Do(func(c *rtos.TaskCtx) { b.Constraints[op.Constraint].Start() })
-		case "lat_stop":
-			pb.Do(func(c *rtos.TaskCtx) { b.Constraints[op.Constraint].Stop() })
-		case "kick":
-			pb.Do(func(c *rtos.TaskCtx) { b.Watchdogs[op.Watchdog].Kick() })
+			p := op.Value
+			pb.Do(func(c *rtos.TaskCtx) { c.SetPriority(p) })
 		case "repeat":
 			pb.Loop(op.Count)
-			b.compileOps(pb, op.Body)
+			compileOps(pb, op.Body)
 			pb.End()
 		default:
-			panic(fmt.Sprintf("scenario: op %q is not continuation-expressible", op.Op))
+			panic(fmt.Sprintf("scenario: op %q has no program form", op.Op))
 		}
 	}
 }

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
-// runForDiff parses, optionally opts out of auto-engine, builds, runs, and
+// The autoEngine scenario field is a compatibility input: it once chose
+// between two task-body execution forms and now selects nothing, since
+// every body runs on the task driver. These tests pin that a scenario runs
+// identically whatever it says, on bodies of every kind.
+
+// runForDiff parses, optionally sets autoEngine false, builds, runs, and
 // returns the built system plus its full CSV trace and statistics report —
-// the observables the differential tests compare across engines.
+// the observables the tests compare.
 func runForDiff(t *testing.T, data []byte, auto bool) (*Built, string, string) {
 	t.Helper()
 	desc, err := Parse(data)
@@ -35,31 +39,26 @@ func runForDiff(t *testing.T, data []byte, auto bool) (*Built, string, string) {
 	return built, csv.String(), built.Sys.Stats(0).String()
 }
 
-// The auto-selected continuation engine must be an implementation detail: for
-// a scenario whose tasks auto-lower, the trace and statistics are
-// byte-identical to the same scenario forced onto the goroutine engine.
+// A periodic scenario's trace and statistics are byte-identical with
+// autoEngine absent and false.
 func TestAutoEngineDifferentialGolden(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "periodic_rm.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	autoBuilt, autoCSV, autoStats := runForDiff(t, data, true)
-	goBuilt, goCSV, goStats := runForDiff(t, data, false)
-
-	want := []string{"audio", "control", "logger", "video"}
-	if !reflect.DeepEqual(autoBuilt.AutoLowered, want) {
-		t.Errorf("AutoLowered = %v, want %v", autoBuilt.AutoLowered, want)
-	}
-	if len(goBuilt.AutoLowered) != 0 {
-		t.Errorf("opted-out build still auto-lowered %v", goBuilt.AutoLowered)
-	}
+	_, autoCSV, autoStats := runForDiff(t, data, true)
+	_, goCSV, goStats := runForDiff(t, data, false)
 	if autoCSV != goCSV {
-		t.Errorf("CSV traces differ between auto-continuation and goroutine engines\nauto:\n%s\ngoroutine:\n%s", autoCSV, goCSV)
+		t.Errorf("CSV traces differ with autoEngine false\nabsent:\n%s\nfalse:\n%s", autoCSV, goCSV)
 	}
 	if autoStats != goStats {
-		t.Errorf("statistics differ between auto-continuation and goroutine engines\nauto:\n%s\ngoroutine:\n%s", autoStats, goStats)
+		t.Errorf("statistics differ with autoEngine false\nabsent:\n%s\nfalse:\n%s", autoStats, goStats)
 	}
 }
+
+// Bodies the former engine selection treated apart (communication ops,
+// loops, an explicit engine field, duration traces) run identically with
+// autoEngine absent and false.
 
 func TestAutoEngineSkipsUnlowerableBodies(t *testing.T) {
 	cases := []struct {
@@ -103,18 +102,18 @@ func TestAutoEngineSkipsUnlowerableBodies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			built, _, _ := runForDiff(t, []byte(tc.json), true)
-			if len(built.AutoLowered) != 0 {
-				t.Errorf("auto-lowered %v, want none", built.AutoLowered)
+			_, autoCSV, _ := runForDiff(t, []byte(tc.json), true)
+			_, offCSV, _ := runForDiff(t, []byte(tc.json), false)
+			if autoCSV == "" || autoCSV != offCSV {
+				t.Errorf("CSV traces differ with autoEngine false\nabsent:\n%s\nfalse:\n%s", autoCSV, offCSV)
 			}
 		})
 	}
 }
 
 func TestAutoEngineLowersMixedScenario(t *testing.T) {
-	// One lowerable periodic task, one one-shot with repeat, one blocked on
-	// an event (not lowerable): exactly the first two are auto-selected, and
-	// the trace matches the goroutine run.
+	// A periodic task, a one-shot with repeat and a task blocked forever on
+	// an event: the trace is the same with autoEngine absent and false.
 	src := `{
 		"horizon": "1ms",
 		"processors": [{"name": "cpu0"}],
@@ -134,34 +133,32 @@ func TestAutoEngineLowersMixedScenario(t *testing.T) {
 			 "body": [{"op": "wait", "event": "go"}]}
 		]
 	}`
-	autoBuilt, autoCSV, _ := runForDiff(t, []byte(src), true)
+	_, autoCSV, _ := runForDiff(t, []byte(src), true)
 	_, goCSV, _ := runForDiff(t, []byte(src), false)
-	want := []string{"beat", "once"}
-	if !reflect.DeepEqual(autoBuilt.AutoLowered, want) {
-		t.Errorf("AutoLowered = %v, want %v", autoBuilt.AutoLowered, want)
-	}
 	if autoCSV != goCSV {
-		t.Errorf("CSV traces differ between auto-continuation and goroutine engines\nauto:\n%s\ngoroutine:\n%s", autoCSV, goCSV)
+		t.Errorf("CSV traces differ with autoEngine false\nabsent:\n%s\nfalse:\n%s", autoCSV, goCSV)
 	}
 }
 
+// The ops that once made a body eligible for automatic lowering are the ops
+// that now give it a Program form: plain ops only, also inside repeats.
 func TestAutoLowerablePredicate(t *testing.T) {
 	ok := []Op{
 		{Op: "execute"}, {Op: "delay"}, {Op: "yield"},
 		{Op: "nopreempt_begin"}, {Op: "nopreempt_end"}, {Op: "setprio"},
 		{Op: "repeat", Body: []Op{{Op: "execute"}}},
 	}
-	if !autoLowerable(ok) {
-		t.Error("recordable op list rejected")
+	if !plainOps(ok) {
+		t.Error("plain op list rejected")
 	}
 	for _, bad := range []string{"wait", "signal", "put", "tryput", "get", "raise",
 		"send", "recv", "submit", "lock", "unlock", "read", "write",
 		"lat_start", "lat_stop", "kick", "execute_trace"} {
-		if autoLowerable([]Op{{Op: "execute"}, {Op: bad}}) {
-			t.Errorf("op %q accepted as auto-lowerable", bad)
+		if plainOps([]Op{{Op: "execute"}, {Op: bad}}) {
+			t.Errorf("op %q accepted as plain", bad)
 		}
-		if autoLowerable([]Op{{Op: "repeat", Body: []Op{{Op: bad}}}}) {
-			t.Errorf("op %q inside repeat accepted as auto-lowerable", bad)
+		if plainOps([]Op{{Op: "repeat", Body: []Op{{Op: bad}}}}) {
+			t.Errorf("op %q inside repeat accepted as plain", bad)
 		}
 	}
 }

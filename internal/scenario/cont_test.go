@@ -4,12 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 // commRichJSON exercises every continuation-expressible op kind: queue
@@ -82,59 +78,34 @@ const smpJitterJSON = `{
 	]
 }`
 
-// contGoldenScenarios are the four differential goldens of the continuation
-// engine at the scenario layer. Single-core goldens are held to raw
-// byte-identical trace exports; the multicore golden uses the canonical
-// signature instead, because two overhead charges completing at the same
-// instant on different cores are recorded in executor drain order, which
-// legitimately permutes between a goroutine (thread) and a continuation
-// (method) executor — same windows, same metrics, different record order.
+// contGoldenScenarios are the scenario-layer goldens of the task driver,
+// with the SHA-256 of their JSON trace export on each processor engine.
+// The hashes were captured from the scenarios' continuation (Program) form
+// before Go bodies moved onto the driver; the Go-body form already produced
+// the same bytes on every single-core golden, and on smp-jitter/threaded
+// differed only in the order of same-instant records of different cores.
+// Every value of a task's engine field must now reproduce them exactly.
 var contGoldenScenarios = []struct {
-	name      string
-	src       string
-	multicore bool
+	name   string
+	src    string
+	hashes map[string]string
 }{
-	{"figure6", figure6JSON, false},
-	{"wcet-restart", faultScenarioJSON, false},
-	{"comm-rich", commRichJSON, false},
-	{"smp-jitter", smpJitterJSON, true},
-}
-
-// canonicalTrace serializes every record kind of a trace order-insensitively
-// within one instant: per-task state changes in task-local order, all other
-// record kinds sorted. Two simulations with identical behaviour but
-// different same-instant record interleavings canonicalize identically.
-func canonicalTrace(rec *trace.Recorder) string {
-	var b strings.Builder
-	perTask := map[string][]string{}
-	for _, c := range rec.StateChanges() {
-		perTask[c.Task] = append(perTask[c.Task],
-			fmt.Sprintf("%v %s core%d %v", c.At, c.CPU, c.Core, c.State))
-	}
-	tasks := make([]string, 0, len(perTask))
-	for task := range perTask {
-		tasks = append(tasks, task)
-	}
-	sort.Strings(tasks)
-	for _, task := range tasks {
-		fmt.Fprintf(&b, "task %s: %s\n", task, strings.Join(perTask[task], "; "))
-	}
-	var lines []string
-	for _, o := range rec.Overheads() {
-		lines = append(lines, fmt.Sprintf("ov %s %s core%d %s %v..%v", o.CPU, o.Task, o.Core, o.Kind, o.Start, o.End))
-	}
-	for _, a := range rec.Accesses() {
-		lines = append(lines, fmt.Sprintf("acc %v %s %s %v", a.At, a.Actor, a.Object, a.Kind))
-	}
-	for _, m := range rec.Migrations() {
-		lines = append(lines, fmt.Sprintf("mig %v %s %s %d->%d", m.At, m.Task, m.CPU, m.From, m.To))
-	}
-	for _, f := range rec.FaultEvents() {
-		lines = append(lines, fmt.Sprintf("fault %v %s %s %s", f.At, f.Kind, f.Task, f.Label))
-	}
-	sort.Strings(lines)
-	b.WriteString(strings.Join(lines, "\n"))
-	return b.String()
+	{"figure6", figure6JSON, map[string]string{
+		"procedural": "8ea81db1c562da8a53495ed8a1c201c7db6ad0d79b463d8f2a3c4495b0a275cb",
+		"threaded":   "8ea81db1c562da8a53495ed8a1c201c7db6ad0d79b463d8f2a3c4495b0a275cb",
+	}},
+	{"wcet-restart", faultScenarioJSON, map[string]string{
+		"procedural": "aba464c31f55dbb789d48f715ae84ace52f3854e5b616293bc67fbd44e097059",
+		"threaded":   "aba464c31f55dbb789d48f715ae84ace52f3854e5b616293bc67fbd44e097059",
+	}},
+	{"comm-rich", commRichJSON, map[string]string{
+		"procedural": "8b4ae738d4d0331d90f074cd2defdf80734680ef6ef22ba149458dff7485030a",
+		"threaded":   "8b4ae738d4d0331d90f074cd2defdf80734680ef6ef22ba149458dff7485030a",
+	}},
+	{"smp-jitter", smpJitterJSON, map[string]string{
+		"procedural": "25cb43aaa0a7a40c34f9e5fb99c2692a017c4d5f532df386bbc0c80b777b7720",
+		"threaded":   "a9f6df61b6f57ed3e8ef9c7054b61a843235f405c22ad3a431e8c7487da2d6ca",
+	}},
 }
 
 // withEngine returns the scenario with every software task's body form set
@@ -183,10 +154,10 @@ func runScenario(t *testing.T, s *System) (built *Built, traceHash, metricsKey s
 	return b, hex.EncodeToString(h.Sum(nil)), string(mk)
 }
 
-// TestContinuationGoldens is the scenario-level differential golden of the
-// continuation engine: four canonical scenarios, each elaborated twice —
-// goroutine bodies and continuation bodies — on both RTOS engines, must
-// produce byte-identical trace exports and identical rtos_* metrics.
+// TestContinuationGoldens is the scenario-level golden of the task driver:
+// four canonical scenarios on both RTOS engines, with every accepted value
+// of the task engine field, must produce the pinned trace export bytes and
+// identical rtos_* metrics.
 func TestContinuationGoldens(t *testing.T) {
 	for _, g := range contGoldenScenarios {
 		for _, eng := range []string{"procedural", "threaded"} {
@@ -195,19 +166,17 @@ func TestContinuationGoldens(t *testing.T) {
 				if eng == "threaded" {
 					src = forceProcessorEngine(t, src, "threaded")
 				}
-				bG, hashG, metG := runScenario(t, withEngine(t, src, "goroutine"))
-				bC, hashC, metC := runScenario(t, withEngine(t, src, "continuation"))
-				if g.multicore {
-					if canonicalTrace(bG.Sys.Rec) != canonicalTrace(bC.Sys.Rec) {
-						t.Errorf("canonical traces differ between body forms")
-						diffScenarioTraces(t, src)
+				var firstMet string
+				for i, field := range []string{"", "goroutine", "continuation"} {
+					_, hash, met := runScenario(t, withEngine(t, src, field))
+					if hash != g.hashes[eng] {
+						t.Errorf("engine field %q: trace export hash %s, want %s", field, hash, g.hashes[eng])
 					}
-				} else if hashG != hashC {
-					t.Errorf("trace exports differ between body forms: %s vs %s", hashG, hashC)
-					diffScenarioTraces(t, src)
-				}
-				if metG != metC {
-					t.Errorf("rtos_* metrics differ between body forms:\n goroutine:    %s\n continuation: %s", metG, metC)
+					if i == 0 {
+						firstMet = met
+					} else if met != firstMet {
+						t.Errorf("engine field %q: rtos_* metrics differ:\n %s\n %s", field, met, firstMet)
+					}
 				}
 			})
 		}
@@ -242,24 +211,6 @@ func forceProcessorEngine(t *testing.T, src, engine string) string {
 	return string(out)
 }
 
-// diffScenarioTraces re-runs a diverged golden with recorders kept and
-// reports the first differing records, for debuggability.
-func diffScenarioTraces(t *testing.T, src string) {
-	t.Helper()
-	bG, err := withEngine(t, src, "goroutine").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bG.Run()
-	bC, err := withEngine(t, src, "continuation").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bC.Run()
-	horizon := bG.Desc.Horizon.Time()
-	t.Logf("trace diff:\n%s", trace.Diff(bG.Sys.Rec, bC.Sys.Rec, horizon, 8))
-}
-
 // TestContinuationResumesCounted checks that a continuation-bodied scenario
 // advances the rtos_continuation_resumes_total counter.
 func TestContinuationResumesCounted(t *testing.T) {
@@ -276,16 +227,12 @@ func TestContinuationResumesCounted(t *testing.T) {
 	if m.Value == 0 {
 		t.Error("continuation scenario ran but the resume counter is zero")
 	}
-	for name, tk := range b.Tasks {
-		if !tk.IsContinuation() {
-			t.Errorf("task %q not built as a continuation", name)
-		}
-	}
 }
 
-// TestContinuationEngineValidation covers the per-task engine knob's
-// validation: unknown values are rejected, bus channel ops are rejected for
-// continuation bodies (also inside repeat), and valid combinations parse.
+// TestContinuationEngineValidation covers the per-task engine field's
+// validation: unknown values are rejected, and every accepted value parses
+// with any body — bus channel ops included, now that every body runs on the
+// task driver.
 func TestContinuationEngineValidation(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string
@@ -299,13 +246,13 @@ func TestContinuationEngineValidation(t *testing.T) {
 			"continuation with send",
 			`{"processors":[{"name":"p"}],"buses":[{"name":"bus"}],"channels":[{"name":"ch","bus":"bus","capacity":1}],
 			 "tasks":[{"name":"t","processor":"p","engine":"continuation","body":[{"op":"send","channel":"ch","value":1}]}]}`,
-			"bus channel ops need a goroutine body",
+			"",
 		},
 		{
 			"continuation with recv inside repeat",
 			`{"processors":[{"name":"p"}],"buses":[{"name":"bus"}],"channels":[{"name":"ch","bus":"bus","capacity":1}],
 			 "tasks":[{"name":"t","processor":"p","engine":"continuation","body":[{"op":"repeat","count":2,"body":[{"op":"recv","channel":"ch"}]}]}]}`,
-			"bus channel ops need a goroutine body",
+			"",
 		},
 		{
 			"goroutine body keeps send",
@@ -337,20 +284,53 @@ func TestContinuationEngineValidation(t *testing.T) {
 	}
 }
 
-// TestContinuationActivationsLower checks the perf motivation end to end at
-// the scenario layer: the continuation form of a golden scenario must need
-// fewer kernel activations than its goroutine form.
+// TestContinuationActivationsLower checks the paper's activation claim end
+// to end at the scenario layer: task switches cost no kernel activation, so
+// the procedural engine runs the task-only golden with none at all, while
+// the threaded engine pays for its RTOS thread.
 func TestContinuationActivationsLower(t *testing.T) {
 	run := func(engine string) uint64 {
-		b, err := withEngine(t, smpJitterJSON, engine).Build()
+		b, err := Parse([]byte(forceProcessorEngine(t, smpJitterJSON, engine)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Run()
-		return b.Sys.K.Activations()
+		built, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		built.Run()
+		return built.Sys.K.Activations()
 	}
-	g, c := run("goroutine"), run("continuation")
-	if c >= g {
-		t.Errorf("continuation form used %d activations, goroutine form %d; want fewer", c, g)
+	p, th := run("procedural"), run("threaded")
+	if p != 0 || th == 0 {
+		t.Errorf("activations: procedural %d (want 0), threaded %d (want > 0)", p, th)
+	}
+}
+
+// TestProgramBodiesStartFirst pins the start order the trace (and so the
+// statistics' row order) follows: tasks whose plain bodies become Programs
+// take their first step with the methods at elaboration, Go bodies where a
+// thread would, after them — whatever their order in the description.
+func TestProgramBodiesStartFirst(t *testing.T) {
+	s, err := Parse([]byte(`{
+		"horizon": "1ms",
+		"processors": [{"name": "cpu"}],
+		"events": [{"name": "go"}],
+		"tasks": [
+			{"name": "waiter", "processor": "cpu", "priority": 3, "body": [{"op": "wait", "event": "go"}]},
+			{"name": "plain", "processor": "cpu", "priority": 2, "period": "100us", "body": [{"op": "execute", "for": "10us"}]},
+			{"name": "looper", "processor": "cpu", "priority": 1, "loop": true, "body": [{"op": "execute", "for": "10us"}]}
+		]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Run()
+	if got, want := strings.Join(b.Sys.Rec.Tasks(), " "), "plain waiter looper"; got != want {
+		t.Errorf("trace task order %q, want %q", got, want)
 	}
 }

@@ -26,7 +26,10 @@ import (
 // CanonicalJSON renders the parsed description in canonical form: the
 // encoding/json serialization of the System struct, with the autoEngine
 // tri-state normalized (explicit true is the default and hashes like an
-// absent knob). The result re-parses to an identical System.
+// absent knob). The result re-parses to an identical System. The
+// compatibility inputs that select nothing (autoEngine false, a task's
+// engine field) still feed the hash, so content hashes stay stable across
+// versions.
 func (s *System) CanonicalJSON() ([]byte, error) {
 	if s.AutoEngine != nil && *s.AutoEngine {
 		c := *s

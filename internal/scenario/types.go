@@ -89,12 +89,9 @@ type System struct {
 	// exists for differential testing and for tiny models where the heap's
 	// footprint wins.
 	TimedQueue string `json:"timedQueue,omitempty"`
-	// AutoEngine, when explicitly false, opts the scenario out of automatic
-	// task-engine selection: tasks whose engine field is unset then always
-	// run goroutine bodies. Absent (or true), Build probes each unset task
-	// with rtos.LowerBody and runs it on the continuation engine when the
-	// body lowers cleanly; both forms produce identical simulated behaviour
-	// (see the engine field of SWTask).
+	// AutoEngine is accepted for compatibility with scenarios written when
+	// task bodies had two execution forms; it selects nothing (every body
+	// runs on the task driver, see SWTask.Engine).
 	AutoEngine *bool `json:"autoEngine,omitempty"`
 
 	Processors  []Processor  `json:"processors"`
@@ -345,12 +342,10 @@ type SWTask struct {
 	// OnMiss selects the deadline-miss recovery policy of a periodic task:
 	// "continue" (default), "abort", "skip_next" or "restart".
 	OnMiss string `json:"onMiss"`
-	// Engine selects the task-body execution form: "goroutine" (the
-	// default; the body runs on its own simulation thread) or
-	// "continuation" (the body is compiled to a yield-op program resumed
-	// inline by the kernel, with no thread and no per-switch parking).
-	// Both forms produce identical simulated behaviour; continuation
-	// bodies cannot use the send/recv bus ops.
+	// Engine is accepted for compatibility with scenarios written when task
+	// bodies had two execution forms: "goroutine", "continuation" or empty.
+	// It selects nothing: every body runs through the behaviour interpreter
+	// as a coroutine on the task's driver.
 	Engine string `json:"engine"`
 	Body   []Op   `json:"body"`
 }

@@ -80,9 +80,11 @@ type Report struct {
 	DeltaCycles uint64
 	Activations uint64
 	MethodRuns  uint64
-	// Blocked lists the processes still waiting at the end (excluding
-	// daemons); non-empty with Reason FinishDeadlock, and informational for
-	// FinishLimit/FinishStopped.
+	// Blocked lists the processes still waiting (excluding daemons) when
+	// the run failed: non-empty with Reason FinishDeadlock, informational
+	// with FinishPanic. A run that reached its limit or stopped leaves it
+	// empty — a bounded run called in a loop does not pay for the list;
+	// call Kernel.BlockedProcs to inspect one.
 	Blocked []BlockedProc
 }
 
@@ -131,8 +133,9 @@ func (k *Kernel) FinishReason() FinishReason { return k.finish }
 func (k *Kernel) SetDiagnostic(fn func() []string) { k.diagnostic = fn }
 
 // BlockedProcs returns every non-daemon process currently in the Waiting
-// state with the events it waits on. After a run finishing with
-// FinishDeadlock this names the deadlocked processes.
+// state with the events it waits on, then every strand whose wait report
+// names what it waits on. After a run finishing with FinishDeadlock this
+// names the deadlocked processes and strands.
 func (k *Kernel) BlockedProcs() []BlockedProc {
 	var blocked []BlockedProc
 	for _, p := range k.procs {
@@ -145,7 +148,35 @@ func (k *Kernel) BlockedProcs() []BlockedProc {
 			HasTimeout: p.timeout != nil,
 		})
 	}
+	for _, s := range k.strands {
+		if s.waitOn == nil {
+			continue
+		}
+		if w := s.waitOn.WaitingOn(); w != "" {
+			blocked = append(blocked, BlockedProc{
+				Name:       s.name,
+				WaitingOn:  []string{w},
+				HasTimeout: s.WakePending(),
+			})
+		}
+	}
 	return blocked
+}
+
+// anyBlocked reports whether BlockedProcs would list anything, without
+// building the list.
+func (k *Kernel) anyBlocked() bool {
+	for _, p := range k.procs {
+		if !p.daemon && p.state == ProcWaiting {
+			return true
+		}
+	}
+	for _, s := range k.strands {
+		if s.waitOn != nil && s.waitOn.WaitingOn() != "" {
+			return true
+		}
+	}
+	return false
 }
 
 func (k *Kernel) diagnose() []string {
@@ -156,14 +187,17 @@ func (k *Kernel) diagnose() []string {
 }
 
 func (k *Kernel) report() Report {
-	return Report{
+	rep := Report{
 		Reason:      k.finish,
 		End:         k.now,
 		DeltaCycles: k.deltaCount,
 		Activations: k.activations,
 		MethodRuns:  k.methodRuns,
-		Blocked:     k.BlockedProcs(),
 	}
+	if k.finish == FinishDeadlock || k.finish == FinishPanic {
+		rep.Blocked = k.BlockedProcs()
+	}
+	return rep
 }
 
 // RunChecked executes the simulation until simulated time limit (pass

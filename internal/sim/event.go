@@ -24,8 +24,11 @@ type Event struct {
 	// waitersSpare double-buffers the waiter list: fire swaps it in instead
 	// of dropping the backing array, so notify/wait cycles do not allocate.
 	waitersSpare []*Proc
-	// Methods statically sensitive to this event.
+	// Methods statically sensitive to this event. Most events have exactly
+	// one (a task driver's wake, a watch's check), so the first lives in
+	// method0 and costs no allocation of its own.
 	methods []*Method
+	method0 [1]*Method
 
 	// Pending notification state.
 	pendingDelta bool
@@ -37,8 +40,22 @@ func (k *Kernel) NewEvent(name string) *Event {
 	return &Event{k: k, name: name}
 }
 
+// InitEvent initializes e in place as a named event bound to kernel k, for
+// an event embedded in a larger structure. e must not be copied afterwards.
+func (k *Kernel) InitEvent(e *Event, name string) {
+	*e = Event{k: k, name: name}
+}
+
 // Name returns the event's name.
 func (e *Event) Name() string { return e.name }
+
+// addMethod makes m statically sensitive to e.
+func (e *Event) addMethod(m *Method) {
+	if e.methods == nil {
+		e.methods = e.method0[:0]
+	}
+	e.methods = append(e.methods, m)
+}
 
 // Notify fires the event immediately: all processes currently waiting on it
 // become runnable in the current evaluate phase, and sensitive methods are

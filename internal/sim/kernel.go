@@ -41,7 +41,13 @@ type Kernel struct {
 	now   Time
 	limit Time // horizon of the run in progress
 
-	procs []*Proc
+	procs   []*Proc
+	strands []*Strand
+	// lateStarts counts the strands whose first resume waits for the
+	// process phase (Strand.StartWithProcesses); lateScan is where the
+	// search for the next one in strands resumes.
+	lateStarts int
+	lateScan   int
 
 	runQueue    ring[*Proc]   // processes runnable in the current evaluate phase
 	methodQueue ring[*Method] // methods triggered in the current evaluate phase
@@ -216,9 +222,9 @@ func (k *Kernel) MethodRuns() uint64 { return k.methodRuns }
 
 // StrandResumes returns the number of strand resumes so far: continuation
 // state-machine advances run inline as method executions. Each one stands in
-// for what would be a full process activation in the goroutine formulation,
-// so comparing StrandResumes against Activations quantifies the handoffs the
-// continuation engine keeps off the parker path.
+// for what would be a full process activation in a thread formulation, so
+// comparing StrandResumes against Activations quantifies the handoffs the
+// strands keep off the parker path.
 func (k *Kernel) StrandResumes() uint64 { return k.strandResumes }
 
 // Processes returns the processes spawned on this kernel, in spawn order.
@@ -259,8 +265,9 @@ func (k *Kernel) RunFor(d Time) {
 	k.RunUntil(addSat(k.now, d))
 }
 
-// Shutdown unwinds every non-terminated process goroutine. It is idempotent.
-// Events notified by terminating processes are not propagated.
+// Shutdown unwinds every non-terminated process goroutine, then stops every
+// strand whose state machine holds resources of its own (a Stopper). It is
+// idempotent. Events notified by terminating processes are not propagated.
 func (k *Kernel) Shutdown() {
 	k.shuttingDown = true
 	for _, p := range k.procs {
@@ -269,6 +276,11 @@ func (k *Kernel) Shutdown() {
 			// mainPk back once it has terminated, serializing the teardown.
 			p.pk.signal(true)
 			k.mainPk.wait()
+		}
+	}
+	for _, s := range k.strands {
+		if st, ok := s.st.(Stopper); ok {
+			st.Stop()
 		}
 	}
 }
@@ -335,6 +347,19 @@ func (k *Kernel) schedule() (dispatched bool) {
 				k.methodRuns++
 				k.mMethodRuns.Inc()
 				m.run()
+				continue
+			}
+			if k.lateStarts > 0 {
+				// A strand standing in for a thread takes its first step
+				// where the thread would: one at a time, in creation order,
+				// after the methods queued so far, before the processes.
+				for !k.strands[k.lateScan].startLate {
+					k.lateScan++
+				}
+				s := k.strands[k.lateScan]
+				s.startLate = false
+				k.lateStarts--
+				s.m.Trigger()
 				continue
 			}
 			if k.runQueue.len() > 0 {
@@ -410,7 +435,7 @@ func (k *Kernel) schedule() (dispatched bool) {
 			// Event starvation: nothing can ever happen again. Clean
 			// quiescence if no non-daemon process is left waiting, a
 			// deadlock otherwise.
-			if len(k.BlockedProcs()) > 0 {
+			if k.anyBlocked() {
 				k.finish = FinishDeadlock
 			} else {
 				k.finish = FinishQuiescent

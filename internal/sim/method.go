@@ -5,9 +5,11 @@ package sim
 // one of the events in its sensitivity list fires. Method functions run to
 // completion and must not call the Wait primitives.
 type Method struct {
-	k      *Kernel
-	name   string
-	fn     func()
+	k    *Kernel
+	name string
+	fn   func()
+	// strand, when set, is the Strand this method runs (in place of fn).
+	strand *Strand
 	queued bool
 	// lastTrigger is the event whose firing queued this method, nil when the
 	// method was queued by Trigger or at elaboration.
@@ -21,14 +23,20 @@ func (k *Kernel) NewMethod(name string, fn func(), initial bool, sensitivity ...
 	if fn == nil {
 		panic("sim: NewMethod with nil function")
 	}
-	m := &Method{k: k, name: name, fn: fn}
-	for _, e := range sensitivity {
-		e.methods = append(e.methods, m)
-	}
+	m := &Method{}
+	k.initMethod(m, name, fn, sensitivity)
 	if initial {
 		m.Trigger()
 	}
 	return m
+}
+
+// initMethod sets up m in place and subscribes it to its sensitivity list.
+func (k *Kernel) initMethod(m *Method, name string, fn func(), sensitivity []*Event) {
+	*m = Method{k: k, name: name, fn: fn}
+	for _, e := range sensitivity {
+		e.addMethod(m)
+	}
 }
 
 // Name returns the method's name.
@@ -62,5 +70,9 @@ func (m *Method) trigger(e *Event) {
 // run executes the method body once.
 func (m *Method) run() {
 	m.queued = false
+	if m.strand != nil {
+		m.strand.step()
+		return
+	}
 	m.fn()
 }

@@ -11,12 +11,12 @@ import (
 func TestStrandPeriodicTicks(t *testing.T) {
 	k := New()
 	var ticks []Time
-	s := k.NewStrand("ticker", func(s *Strand) {
+	s := k.NewStrand("ticker", StepFunc(func(s *Strand) {
 		ticks = append(ticks, k.Now())
 		if len(ticks) < 4 {
 			s.WakeIn(10 * Us)
 		}
-	}, false)
+	}), false)
 	s.WakeAt(5 * Us)
 	k.Run()
 	want := []Time{5 * Us, 15 * Us, 25 * Us, 35 * Us}
@@ -42,7 +42,7 @@ func TestStrandTriggerAndTimedOut(t *testing.T) {
 	k := New()
 	ev := k.NewEvent("ev")
 	var fromEvent, fromTimer int
-	k.NewStrand("s", func(s *Strand) {
+	k.NewStrand("s", StepFunc(func(s *Strand) {
 		switch {
 		case s.TimedOut():
 			fromTimer++
@@ -52,7 +52,7 @@ func TestStrandTriggerAndTimedOut(t *testing.T) {
 		default:
 			t.Errorf("unexpected trigger %v at %v", s.Trigger(), k.Now())
 		}
-	}, false, ev)
+	}), false, ev)
 	k.Spawn("poker", func(p *Proc) {
 		p.Wait(1 * Us)
 		ev.Notify()
@@ -70,9 +70,9 @@ func TestStrandTriggerAndTimedOut(t *testing.T) {
 func TestStrandWakeOverrideAndCancel(t *testing.T) {
 	k := New()
 	var resumes []Time
-	s := k.NewStrand("s", func(s *Strand) {
+	s := k.NewStrand("s", StepFunc(func(s *Strand) {
 		resumes = append(resumes, k.Now())
-	}, true)
+	}), true)
 	s.WakeIn(20 * Us)
 	s.WakeIn(5 * Us) // earlier wins
 	k.RunUntil(6 * Us)
@@ -91,11 +91,11 @@ func TestStrandResumeMetric(t *testing.T) {
 	k := New()
 	reg := metrics.NewRegistry()
 	k.SetMetrics(reg)
-	s := k.NewStrand("s", func(s *Strand) {
+	s := k.NewStrand("s", StepFunc(func(s *Strand) {
 		if k.Now() < 3*Us {
 			s.WakeIn(1 * Us)
 		}
-	}, false)
+	}), false)
 	s.WakeDelta()
 	k.Run()
 	c := reg.Counter("sim_strand_resumes_total", "")

@@ -123,8 +123,8 @@ type (
 	// TaskCtx is the API a task behaviour uses.
 	TaskCtx = rtos.TaskCtx
 	// Continuation is a resumable task body executed inline by the kernel:
-	// no goroutine, no parker round-trip, no retained stack. See
-	// Processor.NewContTask / NewPeriodicContTask.
+	// the hand-written form of a body, with no coroutine and no retained
+	// stack. See Processor.NewContTask / NewPeriodicContTask.
 	Continuation = rtos.Continuation
 	// Yield is one typed suspension request returned by a Continuation.
 	Yield = rtos.Yield
@@ -318,17 +318,6 @@ func PutMsg[T any](q *Queue[T], v T) Yield { return rtos.PutMsg(q, v) }
 
 // GetMsg yields a blocking receive from q into dst (nil discards).
 func GetMsg[T any](q *Queue[T], dst *T) Yield { return rtos.GetMsg(q, dst) }
-
-// LowerBody statically lowers an ordinary task body to a Program by
-// recording; ok is false when the body observes the simulation (time, names,
-// message values) and must stay on the goroutine engine.
-func LowerBody(fn func(*TaskCtx)) (*Program, bool) { return rtos.LowerBody(fn) }
-
-// LowerPeriodicBody lowers a periodic body; legal only when every cycle
-// records the same ops (the recorder checks cycles 0 and 1).
-func LowerPeriodicBody(body func(*TaskCtx, int)) (*Program, bool) {
-	return rtos.LowerPeriodicBody(body)
-}
 
 // MCSE communication relations.
 type (
