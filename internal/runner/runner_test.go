@@ -260,3 +260,34 @@ func TestExploreFindsExpectedViolations(t *testing.T) {
 		t.Errorf("exit code = %d, want %d", got, want)
 	}
 }
+
+// TestArtifactsRetainNoSlack pins the memory a Result keeps for its
+// artifacts: the daemon holds every artifact slice for the job's lifetime,
+// so a buffer grown past its content (or pre-grown from a size estimate)
+// would be retained slack. A streamed artifact's bytes.Buffer doubles from
+// 64 bytes, so it keeps less than twice its length; the Perfetto and metrics
+// writers hand over one whole document, which is allocated at its size.
+func TestArtifactsRetainNoSlack(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.Contains(filepath.Base(f), "sweep") {
+			continue
+		}
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(data, Options{Artifacts: KnownArtifacts}, filepath.Base(f))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for _, a := range KnownArtifacts {
+			if b := res.Artifacts[a]; cap(b) > 2*len(b) {
+				t.Errorf("%s: %s artifact keeps cap %d for %d bytes", filepath.Base(f), a, cap(b), len(b))
+			}
+		}
+	}
+}

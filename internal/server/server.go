@@ -116,6 +116,7 @@ type Server struct {
 		cacheEvict  *metrics.Counter
 		simulations map[JobKind]*metrics.Counter
 		wallMS      *metrics.Histogram
+		queueWaitMS *metrics.Histogram
 	}
 
 	ctx         context.Context
@@ -172,8 +173,10 @@ func New(cfg Config) (*Server, error) {
 			"simulation pipeline executions (cache hits run none; sweeps count per executed variant)",
 			metrics.L("kind", string(k)))
 	}
-	s.m.wallMS = s.reg.Histogram("rtossimd_job_wall_ms", "job wall time in milliseconds",
-		[]int64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000})
+	msBuckets := []int64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000}
+	s.m.wallMS = s.reg.Histogram("rtossimd_job_wall_ms", "job run time in milliseconds, from start to finish", msBuckets)
+	s.m.queueWaitMS = s.reg.Histogram("rtossimd_job_queue_wait_ms",
+		"job queue wait in milliseconds, from submission to start (jobs that ran)", msBuckets)
 
 	// Replay the journal before any worker can observe the queues: finished
 	// results come back into the job table and cache, unfinished jobs are
@@ -450,6 +453,7 @@ func (s *Server) runJob(job *Job) {
 	s.unqueueLocked(job)
 	job.State = StateRunning
 	job.Started = time.Now()
+	s.m.queueWaitMS.Observe(job.Started.Sub(job.Created).Milliseconds())
 	s.busy[job.Shard] = true
 	s.m.running.Add(1)
 	s.m.workersBusy.Add(1)

@@ -662,3 +662,26 @@ func TestShardOf(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueWaitHistogram checks that every job that runs, and no cache hit,
+// observes its queue wait beside its run time.
+func TestQueueWaitHistogram(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	names := []string{"figure6.json", "figure7.json", "inversion.json"}
+	for _, name := range names {
+		waitTerminal(t, ts, postJob(t, ts, Request{Scenario: readScenario(t, name)}).ID)
+	}
+	if hit := postJob(t, ts, Request{Scenario: readScenario(t, names[0])}); !hit.CacheHit {
+		t.Fatalf("resubmission was not a cache hit: %+v", hit)
+	}
+	sims := promValue(t, ts, `rtossimd_simulations_total{kind="simulate"}`)
+	if sims != float64(len(names)) {
+		t.Fatalf("simulate jobs run = %v, want %d", sims, len(names))
+	}
+	if got := promValue(t, ts, "rtossimd_job_queue_wait_ms_count"); got != sims {
+		t.Errorf("queue-wait observations = %v, want %v (one per job run)", got, sims)
+	}
+	if got := promValue(t, ts, "rtossimd_job_wall_ms_count"); got != sims {
+		t.Errorf("run-time observations = %v, want %v (one per job run)", got, sims)
+	}
+}

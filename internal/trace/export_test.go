@@ -103,6 +103,7 @@ func TestExportsPropagateWriteErrors(t *testing.T) {
 		{"vcd", func(w *failingWriter) error { return r.WriteVCD(w) }},
 		{"json", func(w *failingWriter) error { return r.WriteJSON(w) }},
 		{"svg", func(w *failingWriter) error { return r.WriteSVG(w, SVGOptions{End: sim.Ms}) }},
+		{"perfetto", func(w *failingWriter) error { return r.WritePerfetto(w, PerfettoOptions{}) }},
 	}
 	for _, e := range exports {
 		// Fail at several truncation points; every one must surface an error.

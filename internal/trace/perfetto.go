@@ -1,11 +1,12 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
+	"repro/internal/jsonw"
 	"repro/internal/sim"
 )
 
@@ -27,6 +28,10 @@ import (
 // displayTimeUnit "ns" makes the UI show nanosecond precision. Construction
 // is fully deterministic (fixed pass order, stable sort), so identical runs
 // produce byte-identical files — the golden test pins this.
+//
+// The document is written by hand in one pass, in exactly the bytes
+// encoding/json's indented encoder produced for it (field order, omitempty,
+// number and string formats); TestPerfettoMatchesOracle holds the two equal.
 
 // MissMark is one deadline miss to mark in the exported trace. Misses are
 // detected by the constraint monitor above the trace layer, so the exporter
@@ -43,23 +48,35 @@ type PerfettoOptions struct {
 	Misses []MissMark
 }
 
-// perfettoEvent is one trace_event entry. Field order is the JSON emission
-// order; Dur is a pointer so zero-length slices still carry "dur":0.
+// perfettoKind says which record a perfettoEvent renders: the slice kinds
+// (ph:"X") come first, the instant kinds (ph:"i") after pfOverhead.
+type perfettoKind uint8
+
+const (
+	pfTask      perfettoKind = iota // Running slice opened by r.changes[src]
+	pfOverhead                      // overhead slice r.overheads[src]
+	pfFault                         // fault instant r.faults[src]
+	pfMigration                     // migration instant r.migrations[src]
+	pfMiss                          // deadline-miss instant opts.Misses[src]
+)
+
+// perfettoEvent is one slice or instant in compact form. It names the record
+// it renders instead of copying its strings, so building and sorting the
+// event list moves small fixed-size values; the writer reads names and args
+// from the record.
 type perfettoEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	ts   float64  // usec of the start: the sort key
+	dur  sim.Time // slices only
+	src  int32
+	pid  int32
+	tid  int32
+	kind perfettoKind
 }
 
-type perfettoFile struct {
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
+// perfettoThread is one named (pid, tid) thread, in registration order.
+type perfettoThread struct {
+	pid, tid int32
+	name     string
 }
 
 // usec converts a simulated instant or duration to trace_event microseconds.
@@ -67,78 +84,95 @@ func usec(t sim.Time) float64 { return float64(t) / 1e6 }
 
 // perfettoBuilder assigns stable pids/tids and accumulates events.
 type perfettoBuilder struct {
-	pids     map[string]int // CPU name -> pid ("" = hardware process)
+	pids     map[string]int32 // CPU name -> pid ("" = hardware process)
 	pidOrder []string
-	tids     map[[2]int]bool   // (pid, tid) seen
-	tidName  map[[2]int]string // (pid, tid) -> thread name
-	tidOrder [][2]int
-	hwTid    map[string]int // hardware task -> tid
+	tids     map[[2]int32]bool // (pid, tid) registered
+	threads  []perfettoThread
+	hwTid    map[string]int32 // hardware task -> tid
+	taskSlot map[string]int32 // task -> index in tasks
+	tasks    []perfettoTask
 	events   []perfettoEvent
+}
+
+// perfettoTask is a task's scan state in pass 1: the indexes in r.changes of
+// its latest change (where its instants are placed) and of the change that
+// opened its current Running interval (-1: none open).
+type perfettoTask struct {
+	last, open int32
 }
 
 func newPerfettoBuilder() *perfettoBuilder {
 	return &perfettoBuilder{
-		pids:    map[string]int{},
-		tids:    map[[2]int]bool{},
-		tidName: map[[2]int]string{},
-		hwTid:   map[string]int{},
+		pids:     map[string]int32{},
+		tids:     map[[2]int32]bool{},
+		hwTid:    map[string]int32{},
+		taskSlot: map[string]int32{},
 	}
 }
 
+// task returns the slot in b.tasks of a task's scan state, registering the
+// task on first use.
+func (b *perfettoBuilder) task(name string) int32 {
+	slot, ok := b.taskSlot[name]
+	if !ok {
+		slot = int32(len(b.tasks))
+		b.taskSlot[name] = slot
+		b.tasks = append(b.tasks, perfettoTask{open: -1})
+	}
+	return slot
+}
+
 // pid returns the process id for a CPU name, registering it on first use.
-func (b *perfettoBuilder) pid(cpu string) int {
+func (b *perfettoBuilder) pid(cpu string) int32 {
 	if p, ok := b.pids[cpu]; ok {
 		return p
 	}
-	p := len(b.pidOrder) + 1
+	p := int32(len(b.pidOrder) + 1)
 	b.pids[cpu] = p
 	b.pidOrder = append(b.pidOrder, cpu)
 	return p
 }
 
-// thread registers a (pid, tid) thread with a display name on first use.
-func (b *perfettoBuilder) thread(pid, tid int, name string) {
-	k := [2]int{pid, tid}
-	if !b.tids[k] {
-		b.tids[k] = true
-		b.tidName[k] = name
-		b.tidOrder = append(b.tidOrder, k)
+// known reports whether the (pid, tid) thread is registered, registering it
+// otherwise; the caller then sets the new thread's name.
+func (b *perfettoBuilder) known(pid, tid int32) bool {
+	k := [2]int32{pid, tid}
+	if b.tids[k] {
+		return true
 	}
+	b.tids[k] = true
+	b.threads = append(b.threads, perfettoThread{pid: pid, tid: tid})
+	return false
 }
 
 // coreThread returns the tid for a core of a software processor.
-func (b *perfettoBuilder) coreThread(cpu string, core int) (pid, tid int) {
-	pid = b.pid(cpu)
-	tid = core + 1
-	b.thread(pid, tid, fmt.Sprintf("core%d", core))
+func (b *perfettoBuilder) coreThread(cpu string, core int) (pid, tid int32) {
+	pid, tid = b.pid(cpu), int32(core+1)
+	if !b.known(pid, tid) {
+		b.threads[len(b.threads)-1].name = "core" + strconv.Itoa(core)
+	}
 	return pid, tid
 }
 
 // hwThread returns the tid for a hardware task (one thread per task in the
 // shared hardware process).
-func (b *perfettoBuilder) hwThread(task string) (pid, tid int) {
+func (b *perfettoBuilder) hwThread(task string) (pid, tid int32) {
 	pid = b.pid("")
-	t, ok := b.hwTid[task]
+	tid, ok := b.hwTid[task]
 	if !ok {
-		t = len(b.hwTid) + 1
-		b.hwTid[task] = t
+		tid = int32(len(b.hwTid) + 1)
+		b.hwTid[task] = tid
 	}
-	b.thread(pid, t, task)
-	return pid, t
+	if !b.known(pid, tid) {
+		b.threads[len(b.threads)-1].name = task
+	}
+	return pid, tid
 }
 
-// slice appends a complete (ph:"X") event.
-func (b *perfettoBuilder) slice(name, cat string, pid, tid int, start, end sim.Time) {
-	d := usec(end - start)
+// add appends one event; dur is ignored for instants.
+func (b *perfettoBuilder) add(kind perfettoKind, src int, pid, tid int32, start, end sim.Time) {
 	b.events = append(b.events, perfettoEvent{
-		Name: name, Cat: cat, Ph: "X", Ts: usec(start), Dur: &d, Pid: pid, Tid: tid,
-	})
-}
-
-// instant appends a process-scoped instant (ph:"i") event.
-func (b *perfettoBuilder) instant(name, cat string, pid, tid int, at sim.Time, args map[string]any) {
-	b.events = append(b.events, perfettoEvent{
-		Name: name, Cat: cat, Ph: "i", Ts: usec(at), Pid: pid, Tid: tid, S: "p", Args: args,
+		ts: usec(start), dur: end - start, src: int32(src), pid: pid, tid: tid, kind: kind,
 	})
 }
 
@@ -150,35 +184,42 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 	}
 	b := newPerfettoBuilder()
 	var end sim.Time
-	var taskCPU map[string]lastPlace
 	if r != nil {
 		end = r.End()
-		taskCPU = map[string]lastPlace{}
+		running := 0
+		for i := range r.changes {
+			if r.changes[i].State == StateRunning {
+				running++
+			}
+		}
+		b.events = make([]perfettoEvent, 0,
+			running+len(r.overheads)+len(r.faults)+len(r.migrations)+len(opts.Misses))
 
 		// Pass 1 — Running slices, scanning state changes chronologically and
 		// closing each task's open Running interval at the next transition (or
-		// at the trace end).
-		open := map[string]*StateChange{}
-		var openOrder []string
+		// at the trace end). openOrder gains an entry at every Running change,
+		// so a task still running at the end gets its final slice once per
+		// interval it ran: a known defect the golden file pins.
+		var openOrder []int32
 		for i := range r.changes {
 			c := &r.changes[i]
-			taskCPU[c.Task] = lastPlace{cpu: c.CPU, core: c.Core}
-			if prev := open[c.Task]; prev != nil {
-				if c.At > prev.At {
-					b.runningSlice(prev, c.At)
+			slot := b.task(c.Task)
+			t := &b.tasks[slot]
+			t.last = int32(i)
+			if t.open >= 0 {
+				if c.At > r.changes[t.open].At {
+					b.runningSlice(r, int(t.open), c.At)
 				}
-				delete(open, c.Task)
+				t.open = -1
 			}
 			if c.State == StateRunning {
-				if open[c.Task] == nil {
-					openOrder = append(openOrder, c.Task)
-				}
-				open[c.Task] = c
+				openOrder = append(openOrder, slot)
+				t.open = int32(i)
 			}
 		}
-		for _, task := range openOrder {
-			if prev := open[task]; prev != nil && end > prev.At {
-				b.runningSlice(prev, end)
+		for _, slot := range openOrder {
+			if t := &b.tasks[slot]; t.open >= 0 && end > r.changes[t.open].At {
+				b.runningSlice(r, int(t.open), end)
 			}
 		}
 
@@ -186,90 +227,223 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 		for i := range r.overheads {
 			o := &r.overheads[i]
 			pid, tid := b.coreThread(o.CPU, o.Core)
-			name := o.Kind.String()
-			if o.Task != "" {
-				name += " " + o.Task
-			}
-			b.slice(name, "overhead", pid, tid, o.Start, o.End)
+			b.add(pfOverhead, i, pid, tid, o.Start, o.End)
 		}
 
 		// Pass 3 — fault and migration instants.
 		for i := range r.faults {
 			f := &r.faults[i]
-			pid, tid := b.placeOf(taskCPU, f.Task)
-			b.instant(f.Kind.String()+" "+f.Label, "fault", pid, tid, f.At,
-				map[string]any{"task": f.Task, "detail": f.Detail})
+			pid, tid := b.placeOf(r, f.Task)
+			b.add(pfFault, i, pid, tid, f.At, f.At)
 		}
 		for i := range r.migrations {
 			m := &r.migrations[i]
 			pid, tid := b.coreThread(m.CPU, m.To)
-			b.instant("migrate "+m.Task, "migration", pid, tid, m.At,
-				map[string]any{"task": m.Task, "from": m.From, "to": m.To})
+			b.add(pfMigration, i, pid, tid, m.At, m.At)
 		}
 	}
 
 	// Pass 4 — deadline-miss instants from the options.
-	for _, m := range opts.Misses {
-		pid, tid := b.placeOf(taskCPU, m.Task)
-		b.instant("deadline-miss "+m.Task, "miss", pid, tid, m.At,
-			map[string]any{"task": m.Task})
+	for i, m := range opts.Misses {
+		pid, tid := b.placeOf(r, m.Task)
+		b.add(pfMiss, i, pid, tid, m.At, m.At)
 	}
 
 	// Chronological order with a stable sort keeps the build-order tie-break
 	// deterministic.
-	sort.SliceStable(b.events, func(i, j int) bool { return b.events[i].Ts < b.events[j].Ts })
+	slices.SortStableFunc(b.events, func(x, y perfettoEvent) int { return cmp.Compare(x.ts, y.ts) })
 
-	// Metadata events (process and thread names) go first.
-	meta := make([]perfettoEvent, 0, len(b.pidOrder)+len(b.tidOrder))
+	return jsonw.Write(w, func(dst []byte) []byte { return b.appendJSON(dst, r, opts) })
+}
+
+// appendJSON appends the document: the metadata events (process and thread
+// names) first, then the sorted events, indented one space per level like
+// json.Encoder with SetIndent("", " ").
+func (b *perfettoBuilder) appendJSON(dst []byte, r *Recorder, opts PerfettoOptions) []byte {
+	dst = append(dst, "{\n \"displayTimeUnit\": \"ns\",\n \"traceEvents\": ["...)
+	n := 0
 	for _, cpu := range b.pidOrder {
 		name := cpu
 		if name == "" {
 			name = "hardware"
 		}
-		meta = append(meta, perfettoEvent{
-			Name: "process_name", Ph: "M", Pid: b.pids[cpu], Args: map[string]any{"name": name},
-		})
+		dst = appendMeta(openEvent(dst, n), "process_name", b.pids[cpu], 0, name)
+		n++
 	}
-	for _, k := range b.tidOrder {
-		meta = append(meta, perfettoEvent{
-			Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1], Args: map[string]any{"name": b.tidName[k]},
-		})
+	for _, t := range b.threads {
+		dst = appendMeta(openEvent(dst, n), "thread_name", t.pid, t.tid, t.name)
+		n++
 	}
-
-	file := perfettoFile{
-		DisplayTimeUnit: "ns",
-		TraceEvents:     append(meta, b.events...),
+	for i := range b.events {
+		dst = b.events[i].appendJSON(openEvent(dst, n), r, opts)
+		n++
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(file)
+	if n > 0 {
+		dst = append(dst, "\n "...)
+	}
+	return append(dst, "]\n}\n"...)
 }
 
-// lastPlace remembers where a task was last seen scheduling-wise.
-type lastPlace struct {
-	cpu  string
-	core int
+// openEvent starts the n-th element of traceEvents, up to its "name" value.
+func openEvent(dst []byte, n int) []byte {
+	if n > 0 {
+		dst = append(dst, ',')
+	}
+	return append(dst, "\n  {\n   \"name\": "...)
+}
+
+// appendMeta appends the rest of a ph:"M" naming event after its "name" key.
+func appendMeta(dst []byte, what string, pid, tid int32, name string) []byte {
+	dst = append(dst, '"')
+	dst = append(dst, what...)
+	dst = append(dst, "\",\n   \"ph\": \"M\",\n   \"ts\": 0,\n   \"pid\": "...)
+	dst = strconv.AppendInt(dst, int64(pid), 10)
+	dst = append(dst, ",\n   \"tid\": "...)
+	dst = strconv.AppendInt(dst, int64(tid), 10)
+	dst = append(dst, ",\n   \"args\": {\n    \"name\": "...)
+	dst = jsonw.AppendString(dst, name)
+	return append(dst, "\n   }\n  }"...)
+}
+
+// appendJSON appends the rest of the event after its "name" key.
+func (e *perfettoEvent) appendJSON(dst []byte, r *Recorder, opts PerfettoOptions) []byte {
+	var cat string
+	var at sim.Time
+	switch e.kind {
+	case pfTask:
+		cat = "task"
+		c := &r.changes[e.src]
+		at = c.At
+		dst = jsonw.AppendString(dst, c.Task)
+	case pfOverhead:
+		cat = "overhead"
+		o := &r.overheads[e.src]
+		at = o.Start
+		if o.Task == "" {
+			dst = jsonw.AppendString(dst, o.Kind.String())
+		} else {
+			dst = appendJoined(dst, o.Kind.String(), o.Task)
+		}
+	case pfFault:
+		cat = "fault"
+		f := &r.faults[e.src]
+		at = f.At
+		dst = appendJoined(dst, f.Kind.String(), f.Label)
+	case pfMigration:
+		cat = "migration"
+		m := &r.migrations[e.src]
+		at = m.At
+		dst = appendJoined(dst, "migrate", m.Task)
+	case pfMiss:
+		cat = "miss"
+		m := &opts.Misses[e.src]
+		at = m.At
+		dst = appendJoined(dst, "deadline-miss", m.Task)
+	}
+	dst = append(dst, ",\n   \"cat\": \""...)
+	dst = append(dst, cat...)
+	if e.kind <= pfOverhead {
+		dst = append(dst, "\",\n   \"ph\": \"X\",\n   \"ts\": "...)
+		dst = appendUsec(dst, at)
+		dst = append(dst, ",\n   \"dur\": "...)
+		dst = appendUsec(dst, e.dur)
+	} else {
+		dst = append(dst, "\",\n   \"ph\": \"i\",\n   \"ts\": "...)
+		dst = appendUsec(dst, at)
+	}
+	dst = append(dst, ",\n   \"pid\": "...)
+	dst = strconv.AppendInt(dst, int64(e.pid), 10)
+	dst = append(dst, ",\n   \"tid\": "...)
+	dst = strconv.AppendInt(dst, int64(e.tid), 10)
+	if e.kind <= pfOverhead {
+		return append(dst, "\n  }"...)
+	}
+	// Instant args, keys in sorted order as encoding/json writes a map.
+	dst = append(dst, ",\n   \"s\": \"p\",\n   \"args\": {\n    "...)
+	switch e.kind {
+	case pfFault:
+		f := &r.faults[e.src]
+		dst = append(dst, "\"detail\": "...)
+		dst = jsonw.AppendString(dst, f.Detail)
+		dst = append(dst, ",\n    \"task\": "...)
+		dst = jsonw.AppendString(dst, f.Task)
+	case pfMigration:
+		m := &r.migrations[e.src]
+		dst = append(dst, "\"from\": "...)
+		dst = strconv.AppendInt(dst, int64(m.From), 10)
+		dst = append(dst, ",\n    \"task\": "...)
+		dst = jsonw.AppendString(dst, m.Task)
+		dst = append(dst, ",\n    \"to\": "...)
+		dst = strconv.AppendInt(dst, int64(m.To), 10)
+	case pfMiss:
+		dst = append(dst, "\"task\": "...)
+		dst = jsonw.AppendString(dst, opts.Misses[e.src].Task)
+	}
+	return append(dst, "\n   }\n  }"...)
+}
+
+// appendUsec appends usec(t) as encoding/json writes that float. Below 1e15
+// ps in magnitude, t/1e6 has at most 15 significant digits, so it is the only
+// decimal of that length naming the float usec(t), hence the shortest one
+// strconv would print, and integer arithmetic writes it exactly. Larger
+// magnitudes take the float formatter.
+func appendUsec(dst []byte, t sim.Time) []byte {
+	if t <= -1e15 || t >= 1e15 {
+		return jsonw.AppendFloat(dst, usec(t))
+	}
+	if t < 0 {
+		dst = append(dst, '-')
+		t = -t
+	}
+	dst = strconv.AppendInt(dst, int64(t/1e6), 10)
+	frac, digits := int64(t%1e6), 6
+	if frac == 0 {
+		return dst
+	}
+	for frac%10 == 0 {
+		frac /= 10
+		digits--
+	}
+	dst = append(dst, ".000000"[:1+digits]...)
+	for i := len(dst) - 1; frac > 0; i-- {
+		dst[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return dst
+}
+
+// appendJoined appends the JSON string a+" "+b without building it.
+// Escaping is per byte except inside a multi-byte UTF-8 sequence, and none
+// spans the ASCII space, so encoding the halves apart is exact.
+func appendJoined(dst []byte, a, b string) []byte {
+	dst = jsonw.AppendString(dst, a)
+	dst[len(dst)-1] = ' ' // the closing quote becomes the separator
+	n := len(dst)
+	dst = jsonw.AppendString(dst, b)
+	return append(dst[:n], dst[n+1:]...) // drop b's opening quote
 }
 
 // runningSlice emits one Running interval for the transition that opened it.
-func (b *perfettoBuilder) runningSlice(open *StateChange, until sim.Time) {
-	var pid, tid int
-	if open.CPU == "" {
-		pid, tid = b.hwThread(open.Task)
+func (b *perfettoBuilder) runningSlice(r *Recorder, open int, until sim.Time) {
+	c := &r.changes[open]
+	var pid, tid int32
+	if c.CPU == "" {
+		pid, tid = b.hwThread(c.Task)
 	} else {
-		pid, tid = b.coreThread(open.CPU, open.Core)
+		pid, tid = b.coreThread(c.CPU, c.Core)
 	}
-	b.slice(open.Task, "task", pid, tid, open.At, until)
+	b.add(pfTask, open, pid, tid, c.At, until)
 }
 
 // placeOf resolves the process/thread an instant for a task is shown on: the
 // task's last known core, or the first process when the task is unknown.
-func (b *perfettoBuilder) placeOf(taskCPU map[string]lastPlace, task string) (pid, tid int) {
-	if p, ok := taskCPU[task]; ok {
-		if p.cpu == "" {
+func (b *perfettoBuilder) placeOf(r *Recorder, task string) (pid, tid int32) {
+	if slot, ok := b.taskSlot[task]; ok {
+		c := &r.changes[b.tasks[slot].last]
+		if c.CPU == "" {
 			return b.hwThread(task)
 		}
-		return b.coreThread(p.cpu, p.core)
+		return b.coreThread(c.CPU, c.Core)
 	}
 	if len(b.pidOrder) > 0 {
 		return b.pids[b.pidOrder[0]], 1

@@ -44,6 +44,8 @@ bench() { # bench <pattern> <package>
 	bench 'BenchmarkSweep$' ./internal/batch/
 	bench 'BenchmarkExplore$|BenchmarkTraceCodec$' ./internal/explore/
 	bench 'BenchmarkParallelSoC' .
+	bench 'BenchmarkWritePerfetto$' ./internal/trace/
+	bench 'BenchmarkRegistryWriteJSON$' ./internal/metrics/
 } | tee "$RAW"
 
 json_string() { # json_string <text>: the text as a JSON string literal
