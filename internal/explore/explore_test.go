@@ -20,10 +20,10 @@ func readScenario(t *testing.T, name string) []byte {
 	return data
 }
 
-// runScenario simulates one scenario on the given engine and timed-queue
-// backend, optionally with an identity chooser installed at both choice
-// points, and returns the chronology and the equivalence signature.
-func runScenario(t *testing.T, base []byte, engine, backend string, withChooser bool) (string, string) {
+// runScenario simulates one scenario on the given engine, optionally with an
+// identity chooser installed at both choice points, and returns the
+// chronology and the equivalence signature.
+func runScenario(t *testing.T, base []byte, engine string, withChooser bool) (string, string) {
 	t.Helper()
 	desc, err := scenario.Parse(base)
 	if err != nil {
@@ -34,7 +34,6 @@ func runScenario(t *testing.T, base []byte, engine, backend string, withChooser 
 			desc.Processors[i].Engine = engine
 		}
 	}
-	desc.TimedQueue = backend
 	built, err := desc.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -53,22 +52,19 @@ func runScenario(t *testing.T, base []byte, engine, backend string, withChooser 
 // TestIdentityChooserMatchesSeedRuns is the identity-permutation
 // differential: with the chooser installed but every decision at its
 // default, the run must be byte-identical (chronology and signature) to the
-// plain seed run — on both engines and both timed-queue backends, over the
-// golden-pinned scenarios.
+// plain seed run — on both engines, over the golden-pinned scenarios.
 func TestIdentityChooserMatchesSeedRuns(t *testing.T) {
 	scenarios := []string{"figure6.json", "figure7.json", "smp.json", "faults.json"}
 	for _, name := range scenarios {
 		base := readScenario(t, name)
 		for _, engine := range []string{"procedural", "threaded"} {
-			for _, backend := range []string{"wheel", "heap"} {
-				chron, sig := runScenario(t, base, engine, backend, false)
-				chronC, sigC := runScenario(t, base, engine, backend, true)
-				if chron != chronC {
-					t.Errorf("%s/%s/%s: identity chooser changed the chronology", name, engine, backend)
-				}
-				if sig != sigC {
-					t.Errorf("%s/%s/%s: identity chooser changed the signature", name, engine, backend)
-				}
+			chron, sig := runScenario(t, base, engine, false)
+			chronC, sigC := runScenario(t, base, engine, true)
+			if chron != chronC {
+				t.Errorf("%s/%s: identity chooser changed the chronology", name, engine)
+			}
+			if sig != sigC {
+				t.Errorf("%s/%s: identity chooser changed the signature", name, engine)
 			}
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // release/deadline/recovery cycle and, under the procedural engine, the
 // outgoing half of a context switch. Each task owns a contDriver, a state
 // machine executed by a sim.Strand — a kernel Method with a private timer —
-// so every resume runs inline in the evaluate phase on the kernel's own
-// goroutine, without a parker round trip.
+// so every resume runs inline in the evaluate phase, without a process
+// activation.
 //
 // The driver executes any Continuation (yield.go): a Program, or an ordinary
 // Go body running as a coroutine (cobody.go). What a blocking call is in a

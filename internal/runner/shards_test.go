@@ -64,7 +64,9 @@ func TestSingleShardByteIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// The heap timed-queue backend must also be byte-identical under shards=1.
+// A scenario carrying the legacy timedQueue key (it selects nothing since the
+// kernel has one timed queue) must load and stay byte-identical under
+// shards=1.
 func TestSingleShardByteIdenticalHeapBackend(t *testing.T) {
 	data := readScenario(t, "figure6.json")
 	heap := bytes.Replace(data, []byte(`"name": "figure6",`),

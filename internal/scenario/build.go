@@ -153,11 +153,6 @@ func (s *System) build(f *shardFilter) (*Built, error) {
 		b.xsend = map[string]func(comm.Actor, int){}
 		b.xrecv = map[string]*comm.Queue[int]{}
 	}
-	// The timed-queue backend must be selected before elaboration: fault
-	// injection and server replenishment schedule timers during Build.
-	if s.TimedQueue == "heap" {
-		b.Sys.K.SetTimedQueue(sim.TimedQueueHeap)
-	}
 	for _, p := range s.Processors {
 		if f != nil && !f.procs[p.Name] {
 			continue

@@ -84,10 +84,9 @@ type System struct {
 	Name string `json:"name"`
 	// Horizon bounds the simulation; zero runs to event starvation.
 	Horizon Duration `json:"horizon"`
-	// TimedQueue selects the kernel's timed-queue backend: "wheel" (the
-	// default) or "heap". The backends are behaviorally equivalent; the knob
-	// exists for differential testing and for tiny models where the heap's
-	// footprint wins.
+	// TimedQueue is accepted for compatibility with scenarios written when
+	// the kernel had two timed-queue backends; it must be "wheel" or "heap"
+	// but selects nothing (the kernel always uses its timing wheel).
 	TimedQueue string `json:"timedQueue,omitempty"`
 	// AutoEngine is accepted for compatibility with scenarios written when
 	// task bodies had two execution forms; it selects nothing (every body

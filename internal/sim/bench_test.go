@@ -153,19 +153,31 @@ func BenchmarkManyWaiters(b *testing.B) {
 	k.Shutdown()
 }
 
-// BenchmarkTimedQueueOps isolates the timed-queue backends from the process
+// timedStore is what the timing wheel and the binary heap (the wheel's
+// overflow store) have in common, so the benchmarks below can compare the
+// two structures directly.
+type timedStore interface {
+	alloc(at Time, seq uint64, e *Event, p *Proc) *timedEntry
+	release(e *timedEntry)
+	push(e *timedEntry)
+	pop() *timedEntry
+	peek() *timedEntry
+	kill(e *timedEntry)
+}
+
+// BenchmarkTimedQueueOps isolates the timed-queue structures from the process
 // machinery: a steady population of n timers where each operation replaces
 // the popped minimum with a new deadline (the steady state of n periodic
-// tasks). No goroutines, no events — this is the pure data-structure cost
+// tasks). No processes, no events — this is the pure data-structure cost
 // that the end-to-end BenchmarkManyTasks dilutes with activation overhead,
 // and where the wheel's O(1) schedule/pop beats the heap's O(log n).
 func BenchmarkTimedQueueOps(b *testing.B) {
 	backends := []struct {
 		name string
-		make func() timedQueue
+		make func() timedStore
 	}{
-		{"wheel", func() timedQueue { return newTimedWheel() }},
-		{"heap", func() timedQueue { return &timedHeap{} }},
+		{"wheel", func() timedStore { return newTimedWheel() }},
+		{"heap", func() timedStore { return &timedHeap{} }},
 	}
 	for _, size := range []int{1024, 4096, 16384} {
 		for _, backend := range backends {
@@ -201,10 +213,10 @@ func BenchmarkTimedQueueOps(b *testing.B) {
 func BenchmarkTimedQueueCancel(b *testing.B) {
 	backends := []struct {
 		name string
-		make func() timedQueue
+		make func() timedStore
 	}{
-		{"wheel", func() timedQueue { return newTimedWheel() }},
-		{"heap", func() timedQueue { return &timedHeap{} }},
+		{"wheel", func() timedStore { return newTimedWheel() }},
+		{"heap", func() timedStore { return &timedHeap{} }},
 	}
 	for _, backend := range backends {
 		b.Run(backend.name, func(b *testing.B) {

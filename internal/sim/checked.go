@@ -212,9 +212,9 @@ func (k *Kernel) report() Report {
 //   - clean quiescence, reaching the limit, and Stop are distinguished by
 //     Report.Reason.
 //
-// Like RunUntil, process goroutines stay parked afterwards so the simulation
-// can be continued (after a limit/stop finish) or inspected; call Shutdown
-// when done.
+// Like RunUntil, processes stay suspended afterwards so the simulation can
+// be continued (after a limit/stop finish) or inspected; call Shutdown when
+// done.
 func (k *Kernel) RunChecked(limit Time) (rep Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {

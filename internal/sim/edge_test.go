@@ -154,8 +154,8 @@ func TestMakeRunnableIgnoresTerminated(t *testing.T) {
 }
 
 func TestNoGoroutineLeaks(t *testing.T) {
-	// Every process goroutine must unwind at Shutdown: run many kernels
-	// with parked processes and verify the goroutine count returns to
+	// Every process coroutine must unwind at Shutdown: run many kernels
+	// with suspended processes and verify the goroutine count returns to
 	// baseline.
 	runtime.GC()
 	baseline := runtime.NumGoroutine()

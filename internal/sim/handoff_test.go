@@ -4,10 +4,11 @@ import (
 	"testing"
 )
 
-// TestHandoffStress is the race-detector workout for the parker handoff
-// protocol: hundreds of processes ping-ponging through immediate, delta and
-// timed wakeups, with repeated bounded runs (main goroutine re-entering the
-// scheduler) and a mid-life shutdown. Run with -race in CI; the assertions
+// TestHandoffStress is the race-detector workout for the control handoff
+// between the scheduler and the process coroutines: hundreds of processes
+// ping-ponging through immediate, delta and timed wakeups, with repeated
+// bounded runs (the Run caller re-entering the scheduler) and a mid-life
+// shutdown. Run with -race in CI; the assertions
 // here only pin liveness and the single-runner invariant's observable
 // effects (exact activation accounting is covered elsewhere).
 func TestHandoffStress(t *testing.T) {
@@ -41,7 +42,7 @@ func TestHandoffStress(t *testing.T) {
 		k.Spawn("p", body)
 	}
 	// Bounded runs force the Run caller in and out of the scheduler between
-	// horizons, exercising the main parker alongside the process parkers.
+	// horizons, with the process coroutines suspended across the gap.
 	for i := 0; i < 20; i++ {
 		k.RunFor(5)
 	}
@@ -55,7 +56,7 @@ func TestHandoffStress(t *testing.T) {
 	k.Shutdown()
 }
 
-// TestHandoffShutdownMidFlight kills a large population of parked and
+// TestHandoffShutdownMidFlight kills a large population of suspended and
 // runnable processes, which must unwind promptly without leaking goroutines
 // (leak detection itself is in TestNoGoroutineLeaks; this adds scale and a
 // shutdown taken at a horizon where many timers are still in flight).

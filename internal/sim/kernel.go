@@ -13,30 +13,15 @@ type deltaTimeout struct {
 // applied in the update phase, after the evaluate phase of a delta cycle.
 type updater interface{ update() }
 
-// timedQueue is the contract between the kernel and its timed-notification
-// backend. Two implementations exist: timedWheel (the default, a hierarchical
-// timing wheel with O(1) schedule/cancel) and timedHeap (a binary heap, the
-// fallback for far-future entries and available as an explicit backend).
-// Both pool entries through alloc/release and order pops by (at, seq).
-type timedQueue interface {
-	alloc(at Time, seq uint64, e *Event, p *Proc) *timedEntry
-	release(e *timedEntry)
-	push(e *timedEntry)
-	pop() *timedEntry
-	peek() *timedEntry
-	kill(e *timedEntry)
-	len() int
-}
-
 // Kernel is the discrete-event simulation scheduler. Create one with New,
 // spawn processes with Spawn, create events with NewEvent, then call Run
 // (to exhaustion) or RunUntil/RunFor (bounded).
 //
 // A Kernel is not safe for concurrent use: all model code runs inside
 // simulation processes which the kernel serializes, and the Run family must
-// be called from a single goroutine. Independent kernels are fully isolated,
-// so many simulations can run concurrently on separate goroutines (package
-// batch exploits this for parameter sweeps).
+// be called from one goroutine at a time. Independent kernels are fully
+// isolated, so many simulations can run concurrently on separate goroutines
+// (package batch exploits this for parameter sweeps).
 type Kernel struct {
 	now   Time
 	limit Time // horizon of the run in progress
@@ -66,10 +51,8 @@ type Kernel struct {
 
 	updateQueue []updater
 
-	// timed is the active timed-queue backend; wheel is non-nil when it is
-	// the (default) timing wheel, letting hot paths call the concrete type
-	// directly so peek/push inline instead of going through the interface.
-	timed timedQueue
+	// wheel is the timed queue: a hierarchical timing wheel (wheel.go) that
+	// orders pops by (at, seq).
 	wheel *timedWheel
 	seq   uint64
 
@@ -83,16 +66,6 @@ type Kernel struct {
 	permSeen    []bool
 
 	current *Proc
-
-	// mainPk parks the Run caller while a process goroutine has control; the
-	// goroutine that finishes a scheduling pass (or panics, or unwinds at
-	// shutdown) signals it. panicVal carries a panic back to the Run caller
-	// for re-raising there: a model panic when panicProc is set (wrapped in
-	// *SimError), otherwise a panic from kernel-phase code (a method body,
-	// an update callback), re-raised as-is.
-	mainPk    *parker
-	panicProc *Proc
-	panicVal  any
 
 	running       bool
 	stopRequested bool
@@ -119,73 +92,20 @@ type Kernel struct {
 
 // New creates an empty simulation kernel at time zero.
 func New() *Kernel {
-	w := newTimedWheel()
-	return &Kernel{timed: w, wheel: w, mainPk: newParker()}
+	return &Kernel{wheel: newTimedWheel()}
 }
 
-// TimedQueueBackend selects the kernel's timed-notification data structure.
-type TimedQueueBackend uint8
-
-const (
-	// TimedQueueWheel is the default: a hierarchical timing wheel with O(1)
-	// schedule/cancel and O(1) pops on dense timer workloads, falling back
-	// to a heap for entries beyond its ~280 s span.
-	TimedQueueWheel TimedQueueBackend = iota
-	// TimedQueueHeap is the plain binary heap: O(log n) throughout,
-	// minimal constant footprint. Useful for tiny models and as the
-	// reference backend for differential testing.
-	TimedQueueHeap
-)
-
-// SetTimedQueue selects the timed-queue backend. It must be called before
-// any timer is scheduled (typically right after New); switching with timers
-// pending would strand them in the old structure.
-func (k *Kernel) SetTimedQueue(b TimedQueueBackend) {
-	if k.running || k.timed.len() != 0 || k.seq != 0 {
-		panic("sim: SetTimedQueue after timers were scheduled")
-	}
-	switch b {
-	case TimedQueueWheel:
-		k.wheel = newTimedWheel()
-		k.timed = k.wheel
-	case TimedQueueHeap:
-		k.timed = &timedHeap{}
-		k.wheel = nil
-	default:
-		panic("sim: unknown timed-queue backend")
-	}
-}
-
-// The timed* helpers route to the concrete wheel when it is active so the
-// per-iteration queue operations inline; the interface is only taken for the
-// explicitly selected heap backend.
-
+// timedPeek returns the earliest live timed entry, or nil. The cached-min
+// and empty checks are inlined here; the wheel's peek does the rest.
 func (k *Kernel) timedPeek() *timedEntry {
-	if w := k.wheel; w != nil {
-		if w.min != nil {
-			return w.min
-		}
-		if w.count == 0 && len(w.overflow.entries) == 0 {
-			return nil
-		}
-		return w.peek()
+	w := k.wheel
+	if w.min != nil {
+		return w.min
 	}
-	return k.timed.peek()
-}
-
-func (k *Kernel) timedPop() *timedEntry {
-	if w := k.wheel; w != nil {
-		return w.pop()
+	if w.count == 0 && len(w.overflow.entries) == 0 {
+		return nil
 	}
-	return k.timed.pop()
-}
-
-func (k *Kernel) timedRelease(e *timedEntry) {
-	if w := k.wheel; w != nil {
-		w.release(e)
-		return
-	}
-	k.timed.release(e)
+	return w.peek()
 }
 
 // Now returns the current simulated time.
@@ -206,8 +126,8 @@ func (k *Kernel) NextActivity() (Time, bool) {
 // DeltaCount returns the number of delta cycles executed so far.
 func (k *Kernel) DeltaCount() uint64 { return k.deltaCount }
 
-// Activations returns the number of process activations (control transfers
-// from the kernel into a simulation thread) so far. This is the "number of
+// Activations returns the number of process activations (resumes of a
+// simulation thread by the kernel) so far. This is the "number of
 // thread switches" metric used by the paper to compare the two RTOS model
 // implementations in section 4.
 func (k *Kernel) Activations() uint64 { return k.activations }
@@ -216,15 +136,15 @@ func (k *Kernel) Activations() uint64 { return k.activations }
 // the zero-switch counterpart of an activation: work that would cost a full
 // process activation in a threaded formulation runs inline in the evaluate
 // loop instead. Comparing MethodRuns against Activations quantifies how much
-// infrastructure work the method-ized formulation keeps off the goroutine
-// handoff path.
+// infrastructure work the method-ized formulation keeps off the thread
+// switch path.
 func (k *Kernel) MethodRuns() uint64 { return k.methodRuns }
 
 // StrandResumes returns the number of strand resumes so far: continuation
 // state-machine advances run inline as method executions. Each one stands in
 // for what would be a full process activation in a thread formulation, so
-// comparing StrandResumes against Activations quantifies the handoffs the
-// strands keep off the parker path.
+// comparing StrandResumes against Activations quantifies the thread
+// switches the strands avoid.
 func (k *Kernel) StrandResumes() uint64 { return k.strandResumes }
 
 // Processes returns the processes spawned on this kernel, in spawn order.
@@ -238,17 +158,17 @@ func (k *Kernel) Stop() { k.stopRequested = true }
 func (k *Kernel) Stopped() bool { return k.stopRequested }
 
 // Run executes the simulation until no further activity is possible (or Stop
-// is called) and then shuts the kernel down, unwinding every still-parked
-// process goroutine. After Run returns the kernel cannot be restarted.
+// is called) and then shuts the kernel down, unwinding every still-suspended
+// process. After Run returns the kernel cannot be restarted.
 func (k *Kernel) Run() {
 	k.run(TimeMax)
 	k.Shutdown()
 }
 
 // RunUntil executes the simulation until simulated time t. Pending activity
-// after t stays scheduled, and process goroutines stay parked, so the
-// simulation can be continued with further RunUntil/RunFor calls. Call
-// Shutdown when done to release the goroutines.
+// after t stays scheduled, and processes stay suspended, so the simulation
+// can be continued with further RunUntil/RunFor calls, from any goroutine
+// (one at a time). Call Shutdown when done to release the processes.
 func (k *Kernel) RunUntil(t Time) {
 	if t < k.now {
 		panic("sim: RunUntil into the past")
@@ -265,17 +185,16 @@ func (k *Kernel) RunFor(d Time) {
 	k.RunUntil(addSat(k.now, d))
 }
 
-// Shutdown unwinds every non-terminated process goroutine, then stops every
-// strand whose state machine holds resources of its own (a Stopper). It is
-// idempotent. Events notified by terminating processes are not propagated.
+// Shutdown unwinds every non-terminated process, running its deferred
+// calls, then stops every strand whose state machine holds resources of its
+// own (a Stopper). It is idempotent. Events notified by terminating
+// processes are not propagated, and panics raised while unwinding are
+// discarded.
 func (k *Kernel) Shutdown() {
 	k.shuttingDown = true
 	for _, p := range k.procs {
-		if p.started && p.state != ProcTerminated {
-			// Kill-signal the parked goroutine; its unwind handler signals
-			// mainPk back once it has terminated, serializing the teardown.
-			p.pk.signal(true)
-			k.mainPk.wait()
+		if p.stop != nil && p.state != ProcTerminated {
+			p.stop()
 		}
 	}
 	for _, s := range k.strands {
@@ -285,11 +204,7 @@ func (k *Kernel) Shutdown() {
 	}
 }
 
-// run drives the simulation from the Run caller's goroutine. The actual
-// scheduling happens in schedule, which executes on whichever goroutine
-// currently has control: when schedule hands control to a process, the Run
-// caller parks here until some goroutine finishes a scheduling pass (hits
-// the limit, quiescence, a stop, or a panic) and signals it back awake.
+// run drives the simulation up to limit on the caller's goroutine.
 func (k *Kernel) run(limit Time) {
 	if k.running {
 		panic("sim: Run called reentrantly")
@@ -301,40 +216,21 @@ func (k *Kernel) run(limit Time) {
 	defer func() { k.running = false }()
 	k.stopRequested = false
 	k.limit = limit
-
-	if k.schedule() {
-		k.mainPk.wait()
-	}
-	if r := k.panicVal; r != nil {
-		p := k.panicProc
-		k.panicProc, k.panicVal = nil, nil
-		if p == nil {
-			panic(r) // kernel-phase panic, re-raised as-is
-		}
-		panic(&SimError{At: k.now, Proc: p.name, PanicValue: r})
-	}
+	k.schedule()
 }
 
 // schedule advances the simulation through the evaluate/update/delta/timed
-// phases until it either transfers control to a process goroutine (returns
-// true; the caller must then park or unwind) or the run reaches a stopping
-// point (returns false with k.finish set; the caller hands control back to
-// the Run caller). It runs on the Run caller's goroutine initially and on
-// the goroutine of whichever process parks or terminates thereafter — that
-// direct handoff is what makes a scheduling action cost one goroutine
-// switch instead of a round trip through a kernel goroutine.
-//
-// A panic out of kernel-phase code (method bodies, update callbacks, event
-// deliveries) is captured into k.panicVal (with no panicProc) and reported
-// as "no dispatch" so the calling goroutine routes control back to the Run
-// caller, which re-raises it — the same observable behaviour as when these
-// phases ran on the Run caller's goroutine directly.
-func (k *Kernel) schedule() (dispatched bool) {
+// phases until the run reaches a stopping point, with k.finish set. Each
+// process dispatch resumes the process's coroutine inline and continues the
+// evaluate loop once it waits again or terminates. A panic, out of a
+// process (a *SimError) or out of kernel-phase code (a method body, an
+// update callback; re-raised as-is), finishes the run with FinishPanic.
+func (k *Kernel) schedule() {
 	defer func() {
 		if r := recover(); r != nil {
-			k.panicProc, k.panicVal = nil, r
+			k.current = nil
 			k.finish = FinishPanic
-			dispatched = false
+			panic(r)
 		}
 	}()
 	for {
@@ -367,24 +263,20 @@ func (k *Kernel) schedule() (dispatched bool) {
 				if p.state != ProcRunnable {
 					continue // terminated or rescheduled since queuing
 				}
-				// Dispatch: transfer control to p. The caller returns (and
-				// parks or unwinds) right after; from that point p's
-				// goroutine is the only one running simulation code.
+				// Dispatch: run p until it waits again or terminates.
 				k.current = p
 				k.activations++
 				k.mActivations.Inc()
 				p.state = ProcRunning
-				if !p.started {
-					p.start()
-				}
-				p.pk.signal(false)
-				return true
+				p.resume()
+				k.current = nil
+				continue
 			}
 			break
 		}
 		if k.stopRequested {
 			k.finish = FinishStopped
-			return false
+			return
 		}
 
 		// Update phase: apply primitive-channel writes.
@@ -440,12 +332,12 @@ func (k *Kernel) schedule() (dispatched bool) {
 			} else {
 				k.finish = FinishQuiescent
 			}
-			return false
+			return
 		}
 		if head.at > k.limit {
 			k.now = k.limit
 			k.finish = FinishLimit
-			return false
+			return
 		}
 		k.now = head.at
 		if k.permuter != nil {
@@ -453,17 +345,17 @@ func (k *Kernel) schedule() (dispatched bool) {
 			continue
 		}
 		for h := head; ; {
-			k.timedPop()
+			k.wheel.pop()
 			k.mTimedPops.Inc()
 			switch {
 			case h.event != nil:
 				ev := h.event
 				ev.pendingTimed = nil
-				k.timedRelease(h)
+				k.wheel.release(h)
 				ev.fire()
 			case h.proc != nil:
 				pr := h.proc
-				k.timedRelease(h)
+				k.wheel.release(h)
 				pr.wakeFromTimeout()
 			}
 			if h = k.timedPeek(); h == nil || h.at != k.now {
@@ -492,25 +384,14 @@ func (k *Kernel) makeRunnable(p *Proc) {
 func (k *Kernel) scheduleTimed(at Time, e *Event, p *Proc) *timedEntry {
 	k.seq++
 	k.mTimedSched.Inc()
-	if w := k.wheel; w != nil {
-		entry := w.alloc(at, k.seq, e, p)
-		w.push(entry)
-		return entry
-	}
-	entry := k.timed.alloc(at, k.seq, e, p)
-	k.timed.push(entry)
+	entry := k.wheel.alloc(at, k.seq, e, p)
+	k.wheel.push(entry)
 	return entry
 }
 
 // cancelTimed cancels a scheduled entry (and forgets it for compaction
 // accounting). Callers must drop their pointer to it.
-func (k *Kernel) cancelTimed(entry *timedEntry) {
-	if w := k.wheel; w != nil {
-		w.kill(entry)
-		return
-	}
-	k.timed.kill(entry)
-}
+func (k *Kernel) cancelTimed(entry *timedEntry) { k.wheel.kill(entry) }
 
 // requestUpdate queues an updater for the update phase of the current delta
 // cycle. Deduplication is the caller's responsibility.

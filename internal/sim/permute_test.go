@@ -13,19 +13,10 @@ func (f permuteFunc) PermuteTimed(now Time, actions []TimedAction, order []int) 
 	f(now, actions, order)
 }
 
-var permuteBackends = []struct {
-	name    string
-	backend TimedQueueBackend
-}{
-	{"wheel", TimedQueueWheel},
-	{"heap", TimedQueueHeap},
-}
-
 // permuteWorkload builds a workload with same-instant collisions between
 // process timeouts and timed event notifications and returns its wake log.
-func permuteWorkload(backend TimedQueueBackend, p TimedPermuter) []string {
+func permuteWorkload(p TimedPermuter) []string {
 	k := New()
-	k.SetTimedQueue(backend)
 	if p != nil {
 		k.SetTimedPermuter(p)
 	}
@@ -53,15 +44,13 @@ func permuteWorkload(backend TimedQueueBackend, p TimedPermuter) []string {
 
 // TestPermuterIdentityMatchesPlain pins the choice-point layer's zero-cost
 // default: an installed permuter that keeps the identity order must produce
-// exactly the plain (no permuter) execution, on both timed-queue backends.
+// exactly the plain (no permuter) execution.
 func TestPermuterIdentityMatchesPlain(t *testing.T) {
 	identity := permuteFunc(func(Time, []TimedAction, []int) {})
-	for _, b := range permuteBackends {
-		plain := permuteWorkload(b.backend, nil)
-		got := permuteWorkload(b.backend, identity)
-		if strings.Join(got, " ") != strings.Join(plain, " ") {
-			t.Errorf("%s: identity permuter diverged:\n got %v\nwant %v", b.name, got, plain)
-		}
+	plain := permuteWorkload(nil)
+	got := permuteWorkload(identity)
+	if strings.Join(got, " ") != strings.Join(plain, " ") {
+		t.Errorf("identity permuter diverged:\n got %v\nwant %v", got, plain)
 	}
 }
 
@@ -73,22 +62,19 @@ func TestPermuterReverseReordersBatch(t *testing.T) {
 			order[i], order[j] = order[j], order[i]
 		}
 	})
-	for _, b := range permuteBackends {
-		k := New()
-		k.SetTimedQueue(b.backend)
-		k.SetTimedPermuter(reverse)
-		var log []string
-		for i := 0; i < 3; i++ {
-			name := fmt.Sprintf("p%d", i)
-			k.Spawn(name, func(pr *Proc) {
-				pr.Wait(10 * Us)
-				log = append(log, name)
-			})
-		}
-		k.Run()
-		if got, want := strings.Join(log, " "), "p2 p1 p0"; got != want {
-			t.Errorf("%s: got %q, want %q", b.name, got, want)
-		}
+	k := New()
+	k.SetTimedPermuter(reverse)
+	var log []string
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("p%d", i)
+		k.Spawn(name, func(pr *Proc) {
+			pr.Wait(10 * Us)
+			log = append(log, name)
+		})
+	}
+	k.Run()
+	if got, want := strings.Join(log, " "), "p2 p1 p0"; got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }
 
@@ -121,11 +107,10 @@ func TestPermuterActionsDescribeBatch(t *testing.T) {
 // in one batch. Fired event first, the wake cancels the timeout mid-batch
 // (the entry must be skipped, not double-fired); fired timeout first, the
 // process times out and the event fires with no waiters. Both orders must be
-// clean on both backends.
+// clean.
 func TestPermuterCancelWithinBatch(t *testing.T) {
-	run := func(backend TimedQueueBackend, eventFirst bool) (timedOut bool) {
+	run := func(eventFirst bool) (timedOut bool) {
 		k := New()
-		k.SetTimedQueue(backend)
 		k.SetTimedPermuter(permuteFunc(func(_ Time, actions []TimedAction, order []int) {
 			for i, a := range actions {
 				if a.IsProc != eventFirst {
@@ -145,13 +130,11 @@ func TestPermuterCancelWithinBatch(t *testing.T) {
 		k.Run()
 		return timedOut
 	}
-	for _, b := range permuteBackends {
-		if timedOut := run(b.backend, true); timedOut {
-			t.Errorf("%s: event fired first but the waiter timed out", b.name)
-		}
-		if timedOut := run(b.backend, false); !timedOut {
-			t.Errorf("%s: timeout fired first but the waiter woke on the event", b.name)
-		}
+	if timedOut := run(true); timedOut {
+		t.Error("event fired first but the waiter timed out")
+	}
+	if timedOut := run(false); !timedOut {
+		t.Error("timeout fired first but the waiter woke on the event")
 	}
 }
 

@@ -2,11 +2,11 @@ package sim
 
 // Strand is a continuation driver: a Method bundled with a private timer
 // event, the kernel-side harness for running task bodies expressed as
-// resumable state machines instead of goroutines. Where a Proc parks its
-// goroutine in Wait and pays a parker round-trip per activation, a Strand's
-// step function runs inline in the evaluate phase and simply returns after
-// advancing its state machine — control never leaves the kernel goroutine
-// and no stack is retained between resumes.
+// resumable state machines instead of threads. Where a Proc suspends its
+// coroutine in Wait and pays a switch into and out of it per activation, a
+// Strand's step function runs inline in the evaluate phase and simply
+// returns after advancing its state machine — control never leaves the
+// scheduler loop and no stack is retained between resumes.
 //
 // The step function learns why it ran from Trigger() (the sensitivity event
 // that fired; TimedOut reports whether it was the private timer) and models

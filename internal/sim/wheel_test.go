@@ -247,64 +247,6 @@ func TestWheelKillUnlinksImmediately(t *testing.T) {
 	w.kill(a)
 }
 
-// TestKernelBackendsEquivalent runs the same randomized multi-timer model on
-// the wheel and heap backends and requires identical wakeup traces — the
-// kernel-level version of the structure property above.
-func TestKernelBackendsEquivalent(t *testing.T) {
-	run := func(backend TimedQueueBackend, seed int64) []Time {
-		k := New()
-		k.SetTimedQueue(backend)
-		var log []Time
-		ev := k.NewEvent("tick")
-		for i := 0; i < 8; i++ {
-			k.Spawn("t", func(p *Proc) {
-				r := rand.New(rand.NewSource(seed*100 + int64(i)))
-				for j := 0; j < 50; j++ {
-					switch r.Intn(3) {
-					case 0:
-						p.Wait(Time(1 + r.Intn(2000)))
-					case 1:
-						// Timeout that may be cancelled by the event.
-						p.WaitTimeout(Time(1+r.Intn(500)), ev)
-					default:
-						p.Wait(Time(1 + r.Intn(10)))
-						ev.Notify()
-					}
-					log = append(log, p.Now())
-				}
-			})
-		}
-		k.Run()
-		k.Shutdown()
-		return log
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		wheel := run(TimedQueueWheel, seed)
-		heap := run(TimedQueueHeap, seed)
-		if len(wheel) != len(heap) {
-			t.Fatalf("seed %d: trace lengths differ: %d vs %d", seed, len(wheel), len(heap))
-		}
-		for i := range wheel {
-			if wheel[i] != heap[i] {
-				t.Fatalf("seed %d: traces diverge at step %d: wheel %v, heap %v",
-					seed, i, wheel[i], heap[i])
-			}
-		}
-	}
-}
-
-// TestSetTimedQueueValidation pins the backend-switch preconditions.
-func TestSetTimedQueueValidation(t *testing.T) {
-	k := New()
-	k.NewEvent("e").NotifyIn(Us)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetTimedQueue with scheduled timers: expected panic")
-		}
-	}()
-	k.SetTimedQueue(TimedQueueHeap)
-}
-
 // TestAllocsPerWheelScheduleFireCancel extends the zero-allocation pin to the
 // timing wheel across all three entry fates: fired level-0 timers, cancelled
 // timers, and overflow traffic are all freelist-recycled.

@@ -70,17 +70,6 @@ type (
 	// Method is a callback run inline by the kernel when its sensitivity
 	// events fire (sc_method analogue) — no goroutine, no stack.
 	Method = sim.Method
-	// TimedQueueBackend selects the kernel's timed-event queue
-	// implementation; see Kernel.SetTimedQueue.
-	TimedQueueBackend = sim.TimedQueueBackend
-)
-
-// Timed-queue backends (Kernel.SetTimedQueue). The timing wheel is the
-// default; the binary heap remains as a differential-testing reference and
-// for workloads with very sparse far-future timers.
-const (
-	TimedQueueWheel = sim.TimedQueueWheel
-	TimedQueueHeap  = sim.TimedQueueHeap
 )
 
 // Duration units.
