@@ -197,9 +197,9 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 
 		// Pass 1 — Running slices, scanning state changes chronologically and
 		// closing each task's open Running interval at the next transition (or
-		// at the trace end). openOrder gains an entry at every Running change,
-		// so a task still running at the end gets its final slice once per
-		// interval it ran: a known defect the golden file pins.
+		// at the trace end). openOrder gains an entry at every Running change;
+		// the end-of-trace close resets the task's open interval, so a task
+		// still running at the end gets its final slice once.
 		var openOrder []int32
 		for i := range r.changes {
 			c := &r.changes[i]
@@ -218,8 +218,11 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 			}
 		}
 		for _, slot := range openOrder {
-			if t := &b.tasks[slot]; t.open >= 0 && end > r.changes[t.open].At {
-				b.runningSlice(r, int(t.open), end)
+			if t := &b.tasks[slot]; t.open >= 0 {
+				if end > r.changes[t.open].At {
+					b.runningSlice(r, int(t.open), end)
+				}
+				t.open = -1
 			}
 		}
 

@@ -143,8 +143,11 @@ func oracleWritePerfetto(r *Recorder, w io.Writer, opts PerfettoOptions) error {
 			}
 		}
 		for _, task := range openOrder {
-			if prev := open[task]; prev != nil && end > prev.At {
-				b.runningSlice(prev, end)
+			if prev := open[task]; prev != nil {
+				if end > prev.At {
+					b.runningSlice(prev, end)
+				}
+				delete(open, task)
 			}
 		}
 

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -88,6 +90,49 @@ func TestPerfettoMatchesOracle(t *testing.T) {
 	checkPerfetto(t, "empty trace with misses", NewRecorder(clk.Now), PerfettoOptions{Misses: misses})
 	checkPerfetto(t, "adversarial", adversarialRecorder(), PerfettoOptions{})
 	checkPerfetto(t, "adversarial with misses", adversarialRecorder(), PerfettoOptions{Misses: misses})
+}
+
+// TestPerfettoFinalSliceOnce is the regression test for the end-of-trace
+// close: a task that ran in several intervals and is still running when the
+// trace ends gets one slice per interval, its final one included once.
+func TestPerfettoFinalSliceOnce(t *testing.T) {
+	clk := &fakeClock{}
+	r := NewRecorder(clk.Now)
+	for i := sim.Time(0); i < 3; i++ {
+		clk.now = i * 10 * sim.Us
+		r.TaskStateOn("busy", "cpu", 0, StateRunning)
+		if i < 2 {
+			clk.now += 5 * sim.Us
+			r.TaskStateOn("busy", "cpu", 0, StateReady)
+		}
+	}
+	clk.now = 30 * sim.Us
+	r.Overhead("cpu", "", OverheadScheduling, 29*sim.Us, 30*sim.Us)
+	var buf bytes.Buffer
+	if err := r.WritePerfetto(&buf, PerfettoOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Cat  string
+			Ts   float64
+			Dur  float64
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var slices []string
+	for _, e := range doc.TraceEvents {
+		if e.Cat == "task" && e.Name == "busy" {
+			slices = append(slices, fmt.Sprintf("%g+%g", e.Ts, e.Dur))
+		}
+	}
+	if got, want := strings.Join(slices, " "), "0+5 10+5 20+10"; got != want {
+		t.Fatalf("busy slices %q, want %q", got, want)
+	}
+	checkPerfetto(t, "final slice", r, PerfettoOptions{})
 }
 
 // OracleWritePerfetto exposes the oracle to the external tests that run the
