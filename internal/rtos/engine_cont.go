@@ -8,14 +8,14 @@ import (
 )
 
 // This file is the task driver, the one implementation of the task side of
-// the dispatch protocol: waiting for a grant, charging the dispatch
-// overheads a task charges itself, running its Compute slices with exact
-// preemption, sleeping, blocking on communication relations, the periodic
-// release/deadline/recovery cycle and, under the procedural engine, the
-// outgoing half of a context switch. Each task owns a contDriver, a state
-// machine executed by a sim.Strand — a kernel Method with a private timer —
-// so every resume runs inline in the evaluate phase, without a process
-// activation.
+// the dispatch protocol: waiting for a grant, charging the context load,
+// running its Compute slices with exact preemption, sleeping, blocking on
+// communication relations, the periodic release/deadline/recovery cycle and,
+// under the procedural engine, hosting the RTOS switch sequence (stepSwitch,
+// schedcore.go; the threaded engine's RTOS thread hosts the same steps).
+// Each task owns a contDriver, a state machine executed by a sim.Strand — a
+// kernel Method with a private timer — so every resume runs inline in the
+// evaluate phase, without a process activation.
 //
 // The driver executes any Continuation (yield.go): a Program, or an ordinary
 // Go body running as a coroutine (cobody.go). What a blocking call is in a
@@ -38,12 +38,9 @@ const (
 	dcStartWait
 	// dcParked: not running and not mid-protocol; waiting for a grant.
 	dcParked
-	// dcInSettleA: grantSchedLoad taken; waiting the pre-charge settle delta.
-	dcInSettleA
-	// dcInSched: waiting out the scheduling-overhead charge.
-	dcInSched
-	// dcInSettleB: waiting the pre-election settle delta.
-	dcInSettleB
+	// dcSwitch: hosting a switch sequence (procedural engine); waiting out
+	// its current settle delta or overhead charge.
+	dcSwitch
 	// dcInLoad: elected; waiting out the context-load charge.
 	dcInLoad
 	// dcExecSlice: running a Compute slice; the timer is armed at the
@@ -51,14 +48,6 @@ const (
 	dcExecSlice
 	// dcIsrWait: an ISR borrowed the processor; waiting for its completion.
 	dcIsrWait
-	// dcOutSave: waiting out the context-save charge of a switch-out.
-	dcOutSave
-	// dcOutSettle: waiting the post-save settle delta.
-	dcOutSettle
-	// dcOutSched: waiting out the scheduling charge of a switch-out.
-	dcOutSched
-	// dcOutSettleB: waiting the pre-election settle delta of a switch-out.
-	dcOutSettleB
 	// dcDone: the task terminated.
 	dcDone
 )
@@ -122,13 +111,15 @@ type contDriver struct {
 	// runName names the task's TaskRun wait in diagnoses; built on demand.
 	runName string
 
-	// inCore/outCore are the cores of the dispatch-in and switch-out
-	// microprograms in flight; chargeStart is the start instant of the
-	// overhead charge being waited out.
+	// inCore is the core of the dispatch in flight and chargeStart the start
+	// instant of its context-load charge. sw is the task's latest switch
+	// sequence: its own switch-out (hosted here, or by the threaded engine's
+	// RTOS thread) or, under the procedural engine, an idle-core claim;
+	// outFinal is the state the driver settles in after a switch.
 	inCore      *core
-	outCore     *core
-	outFinal    contState
 	chargeStart sim.Time
+	sw          switchSeq
+	outFinal    contState
 
 	// remaining/sliceStart track the Compute slice in flight.
 	remaining  sim.Time
@@ -282,17 +273,9 @@ func (d *contDriver) Step(s *sim.Strand) {
 		}
 	case dcParked:
 		d.tryGrant()
-	case dcInSettleA:
+	case dcSwitch:
 		if !s.WakePending() {
-			d.inSched()
-		}
-	case dcInSched:
-		if !s.WakePending() {
-			d.inSchedDone()
-		}
-	case dcInSettleB:
-		if !s.WakePending() {
-			d.inElect()
+			d.runSwitch()
 		}
 	case dcInLoad:
 		if !s.WakePending() {
@@ -302,22 +285,6 @@ func (d *contDriver) Step(s *sim.Strand) {
 		d.sliceWake()
 	case dcIsrWait:
 		d.isrWake()
-	case dcOutSave:
-		if !s.WakePending() {
-			d.outSaveDone()
-		}
-	case dcOutSettle:
-		if !s.WakePending() {
-			d.outDispatch()
-		}
-	case dcOutSched:
-		if !s.WakePending() {
-			d.outSchedDone()
-		}
-	case dcOutSettleB:
-		if !s.WakePending() {
-			d.outElect()
-		}
 	case dcDone:
 		// Terminated; late wakes (a broadcast doneEv) are ignored.
 	}
@@ -343,7 +310,7 @@ func (d *contDriver) becomeReady() {
 }
 
 // maybeGrant processes a grant already pending while the driver is parked.
-// Needed because a grant arriving mid-microprogram has its TaskRun notify
+// Needed because a grant arriving mid-sequence has its TaskRun notify
 // consumed by a state that ignores it; on reaching dcParked the grant must
 // be picked up without waiting for another notify.
 func (d *contDriver) maybeGrant() {
@@ -355,21 +322,20 @@ func (d *contDriver) maybeGrant() {
 // tryGrant consumes a pending grant: the head of a dispatch.
 func (d *contDriver) tryGrant() {
 	t := d.t
-	if t.pendingGrant == grantNone {
-		return // spurious wake
+	if t.pendingGrant == grantNone || t.leaving() {
+		return // spurious wake, or a grant held until the switch-out ends
 	}
 	g := t.pendingGrant
 	t.pendingGrant = grantNone
 	d.inCore = &d.cpu.cores[t.grantCore]
 	switch g {
 	case grantSchedLoad:
-		// Idle-core wakeup (procedural engine): this driver runs the
-		// scheduler for the core it claimed. Other tasks arriving during the
-		// scheduling window take part in the election; the settle deltas let
-		// same-instant arrivals join (and be seen by the overhead formula)
-		// even with zero overhead.
-		d.state = dcInSettleA
-		d.s.WakeDelta()
+		// Idle-core wakeup (procedural engine): this driver runs the switch
+		// sequence for the core it claimed. Other tasks arriving during the
+		// scheduling window take part in the election.
+		d.sw = switchSeq{c: d.inCore, claimant: t}
+		d.state = dcSwitch
+		d.runSwitch()
 	case grantLoad:
 		// Elected by another task's driver or the RTOS thread, which
 		// already removed us from the queue.
@@ -377,48 +343,37 @@ func (d *contDriver) tryGrant() {
 	}
 }
 
-// inSched starts the scheduling-overhead charge of a grantSchedLoad dispatch.
-func (d *contDriver) inSched() {
-	cpu := d.cpu
-	dur := cpu.overheadDur(trace.OverheadScheduling, cpu.overheadCtxOn(d.inCore, nil))
-	d.chargeStart = cpu.k.Now()
-	if dur > 0 {
-		d.state = dcInSched
+// runSwitch advances the hosted switch sequence to its next wait, arming
+// the strand for it. When the sequence ends, the elected task is granted its
+// context load — unless it is this driver's own claimant task, which goes
+// straight to its load. A claimant that lost its election to a later arrival
+// is back to plain queued and claims another idle core if one is eligible.
+// The driver then settles in its final state; after a switch-out the winner
+// may be this very task, yielding straight back onto the core, and
+// finishOut's maybeGrant picks its grant up.
+func (d *contDriver) runSwitch() {
+	cpu, t, sw := d.cpu, d.t, &d.sw
+	switch w, dur := cpu.stepSwitch(sw); w {
+	case switchDelta:
+		d.s.WakeDelta()
+		return
+	case switchTime:
 		d.s.WakeIn(dur)
 		return
 	}
-	d.inSchedDone()
-}
-
-func (d *contDriver) inSchedDone() {
-	cpu := d.cpu
-	cpu.recordCharge(trace.OverheadScheduling, nil, d.inCore.id, d.chargeStart, cpu.k.Now())
-	d.state = dcInSettleB
-	d.s.WakeDelta()
-}
-
-// inElect runs the election of a grantSchedLoad dispatch after its second
-// settle.
-func (d *contDriver) inElect() {
-	cpu, t, c := d.cpu, d.t, d.inCore
-	cpu.clearClaim(t)
-	elected := cpu.electOn(c)
-	if elected != t {
-		if elected != nil {
-			elected.grant(grantLoad, c.id)
-		} else {
-			c.switching = false
-		}
-		// Losing the election leaves this task unclaimed in the queue; claim
-		// another idle core if one is eligible, otherwise park.
-		d.state = dcParked
+	if sw.claimant == t && sw.elected == t {
+		d.beginLoad()
+		return
+	}
+	if sw.elected != nil {
+		sw.elected.grant(grantLoad, sw.c.id)
+	}
+	if sw.claimant == t {
 		if c2 := cpu.claimIdleCore(t); c2 != nil {
 			t.grant(grantSchedLoad, c2.id)
 		}
-		d.maybeGrant()
-		return
 	}
-	d.beginLoad()
+	d.finishOut()
 }
 
 // beginLoad starts the context-load charge; completion makes the task run.
@@ -681,89 +636,24 @@ func (d *contDriver) enterHang() {
 }
 
 // switchOut takes the task off its core into state s (the paper's
-// TaskIsBlocked, or TaskIsPreempted for Ready) and runs the outgoing half of
-// the context switch. Under the threaded engine the vacated core's RTOS
-// thread performs it; under the procedural engine the driver runs it as a
-// microprogram on its own strand: charge the context save, settle so
-// same-instant arrivals join the ready queue, then dispatch.
+// TaskIsBlocked, or TaskIsPreempted for Ready) and runs the switch sequence
+// for the vacated core: under the threaded engine its RTOS thread hosts it,
+// under the procedural engine this driver does (runSwitch).
 func (d *contDriver) switchOut(s trace.TaskState, final contState) {
 	t, cpu := d.t, d.cpu
 	c := cpu.leaveRunning(t, s)
 	d.outFinal = final
+	d.sw = switchSeq{c: c, out: t}
 	if cpu.eng.switchOut(c, t) {
 		d.finishOut()
 		return
 	}
-	d.outCore = c
-	dur := cpu.overheadDur(trace.OverheadContextSave, cpu.overheadCtxOn(c, t))
-	d.chargeStart = cpu.k.Now()
-	if dur > 0 {
-		d.state = dcOutSave
-		d.s.WakeIn(dur)
-		return
-	}
-	d.outSaveDone()
+	d.state = dcSwitch
+	d.runSwitch()
 }
 
-func (d *contDriver) outSaveDone() {
-	cpu := d.cpu
-	cpu.recordCharge(trace.OverheadContextSave, d.t, d.outCore.id, d.chargeStart, cpu.k.Now())
-	d.state = dcOutSettle
-	d.s.WakeDelta()
-}
-
-// outDispatch opens the dispatch half: with nothing ready the core goes
-// idle, otherwise charge the scheduling duration and settle before the
-// election.
-func (d *contDriver) outDispatch() {
-	cpu, c := d.cpu, d.outCore
-	if len(cpu.queueFor(c.id).tasks) == 0 {
-		c.switching = false
-		d.finishOut()
-		return
-	}
-	dur := cpu.overheadDur(trace.OverheadScheduling, cpu.overheadCtxOn(c, nil))
-	d.chargeStart = cpu.k.Now()
-	if dur > 0 {
-		d.state = dcOutSched
-		d.s.WakeIn(dur)
-		return
-	}
-	d.outSchedDone()
-}
-
-func (d *contDriver) outSchedDone() {
-	cpu := d.cpu
-	cpu.recordCharge(trace.OverheadScheduling, nil, d.outCore.id, d.chargeStart, cpu.k.Now())
-	d.state = dcOutSettleB
-	d.s.WakeDelta()
-}
-
-// outElect finishes the switch-out: elect and grant the vacated core's next
-// task, then settle the driver itself (the winner may be this very task,
-// yielding straight back onto the core — its grant is picked up by
-// finishOut's maybeGrant).
-func (d *contDriver) outElect() {
-	cpu, c := d.cpu, d.outCore
-	if len(cpu.queueFor(c.id).tasks) == 0 {
-		// Another core of a global domain drained the queue during the
-		// scheduling window: the decision found nothing to run.
-		c.switching = false
-		d.finishOut()
-		return
-	}
-	e := cpu.electOn(c)
-	if e == nil {
-		c.switching = false
-		d.finishOut()
-		return
-	}
-	e.grant(grantLoad, c.id)
-	d.finishOut()
-}
-
-// finishOut closes the switch-out: the driver enters its recorded final
-// state and picks up any grant whose notify was consumed mid-microprogram.
+// finishOut closes a switch: the driver enters its recorded final state and
+// picks up any grant whose notify was consumed mid-sequence.
 func (d *contDriver) finishOut() {
 	if d.outFinal == dcDone {
 		d.state = dcDone

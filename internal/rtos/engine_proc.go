@@ -8,13 +8,14 @@ import "repro/internal/trace"
 // of the RTOS object."
 //
 // The engine holds no scheduling logic of its own — election, dispatch,
-// preemption checking and overhead accounting live in the shared schedCore
-// (schedcore.go). What this engine decides is *who* runs them: the
-// context-save and scheduling durations are charged by the task leaving the
-// processor, the context-load duration by the task that was elected (Figure
-// 5), each on its own driver (engine_cont.go). Scheduling adds no kernel
-// thread of its own, so the simulation runs with far fewer activations than
-// the threaded engine.
+// preemption checking, overhead accounting and the switch sequence live in
+// the shared schedCore (schedcore.go). What this engine decides is *who*
+// runs them: the switch sequence (context save, scheduling, election) runs on
+// the driver of the task leaving the processor, or of the task that claimed
+// an idle core, and the context load on the driver of the elected task
+// (Figure 5; engine_cont.go). Scheduling adds no kernel thread of its own,
+// so the simulation runs with far fewer activations than the threaded
+// engine.
 type proceduralEngine struct {
 	cpu *Processor
 }
@@ -34,16 +35,16 @@ func (e *proceduralEngine) taskIsReady(t *Task) {
 	}
 	cpu.enqueueReady(t)
 	if c := cpu.claimIdleCore(t); c != nil {
-		// Idle core: wake the task; its driver charges the scheduling and
-		// load durations and re-elects after the scheduling window (another
-		// task arriving meanwhile may win).
+		// Idle core: wake the task; its driver runs the switch sequence for
+		// the claimed core (another task arriving during the scheduling
+		// window may win the election) and then its own context load.
 		t.grant(grantSchedLoad, c.id)
 		return
 	}
 	cpu.checkPreemptArrival(t)
 }
 
-// switchOut declines: the outgoing half runs on the leaving task's own
+// switchOut declines: the switch sequence runs on the leaving task's own
 // driver. That is the paper's TaskIsBlocked ("called by a task that enters
 // the Waiting state. The scheduling algorithm must select another task to
 // run and notifies it with the TaskRun event") and TaskIsPreempted (called

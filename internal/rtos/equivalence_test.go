@@ -20,18 +20,31 @@ import (
 // given engine and returns its trace signature after running to the horizon,
 // plus the recorder for detailed diffing on divergence. The construction is
 // fully deterministic in the seed, so the two engines receive byte-identical
-// workloads.
+// workloads. The processor has 1-3 cores, scheduled partitioned (each task
+// pinned to a random core) or globally, so the multi-core branches of the
+// switch sequence are exercised: a claimant losing its election, re-claiming
+// a second idle core, an election finding only claimed tasks.
 func randomWorkload(seed int64, eng rtos.EngineKind, horizon sim.Time) (signature string, activations uint64, rec *trace.Recorder) {
 	rng := rand.New(rand.NewSource(seed))
 
 	nTasks := 2 + rng.Intn(5)
 	nEvents := 1 + rng.Intn(3)
 	overheadUnit := sim.Time(rng.Intn(4)) * sim.Us // 0..3us, zero included
+	cores := 1 + rng.Intn(3)
+	domain := rtos.SchedDomain(rng.Intn(2))
+	// Each core adds its own nanosecond offset to the overheads, so switch
+	// sequences on two cores do not end in the same instant. Which core acts
+	// first within one instant is a delta-cycle tie-break that legitimately
+	// differs between the engines' hosts (see smpWorkload); a single core
+	// gets overheadUnit exactly.
+	perCore := func(c rtos.OverheadCtx) sim.Time { return overheadUnit + sim.Time(c.Core)*7*sim.Ns }
 
 	sys := rtos.NewSystem()
 	cpu := sys.NewProcessor("cpu0", rtos.Config{
 		Engine:    eng,
-		Overheads: rtos.UniformOverheads(overheadUnit),
+		Overheads: rtos.Overheads{Scheduling: perCore, ContextSave: perCore, ContextLoad: perCore},
+		Cores:     cores,
+		Domain:    domain,
 	})
 
 	events := make([]*comm.Event, nEvents)
@@ -59,6 +72,9 @@ func randomWorkload(seed int64, eng rtos.EngineKind, horizon sim.Time) (signatur
 		cfg := rtos.TaskConfig{
 			Priority: rng.Intn(10),
 			StartAt:  sim.Time(rng.Intn(100)) * sim.Us,
+		}
+		if domain == rtos.DomainPartitioned {
+			cfg.Affinity = rng.Intn(cores)
 		}
 		cpu.NewTask(fmt.Sprintf("t%d", i), cfg, func(c *rtos.TaskCtx) {
 			for l := 0; l < loops; l++ {
@@ -151,7 +167,7 @@ func traceSignature(rec *trace.Recorder, end sim.Time) string {
 }
 
 // TestEngineEquivalence is the central property test of the reproduction:
-// for randomized workloads, the threaded RTOS model (paper section 4.1) and
+// for randomized single- and multi-core workloads, the threaded RTOS model (paper section 4.1) and
 // the procedural RTOS model (section 4.2) must produce identical simulated
 // behaviour — same task state timelines, same overhead windows — while the
 // procedural engine uses fewer kernel thread switches. This is precisely the
@@ -176,6 +192,51 @@ func TestEngineEquivalence(t *testing.T) {
 	if fasterCount < total*9/10 {
 		t.Errorf("procedural engine had fewer activations in only %d/%d runs", fasterCount, total)
 	}
+}
+
+// TestEngineEquivalenceReclaim drives a multi-core branch the randomized
+// workloads reach too rarely: a task that claimed an idle core loses that
+// core's election to a task which yielded on another core during the
+// scheduling window, and claims a third, idle core instead. Both engines
+// must give the same timeline, with the claimant running on core 2.
+func TestEngineEquivalenceReclaim(t *testing.T) {
+	const horizon = 100 * sim.Us
+	run := func(eng rtos.EngineKind) (string, *trace.Recorder) {
+		sys := rtos.NewSystem()
+		cpu := sys.NewProcessor("cpu0", rtos.Config{
+			Engine:    eng,
+			Cores:     3,
+			Domain:    rtos.DomainGlobal,
+			Overheads: rtos.UniformOverheads(sim.Us),
+		})
+		// Runs on core 0 from 2us and yields at 10.5us, inside the
+		// claimant's scheduling window on core 1 (10us to 11us).
+		cpu.NewTask("yielder", rtos.TaskConfig{Priority: 5}, func(c *rtos.TaskCtx) {
+			c.Execute(8500 * sim.Ns)
+			c.Yield()
+			c.Execute(20 * sim.Us)
+		})
+		cpu.NewTask("claimant", rtos.TaskConfig{Priority: 1, StartAt: 10 * sim.Us}, func(c *rtos.TaskCtx) {
+			c.Execute(20 * sim.Us)
+		})
+		sys.RunUntil(horizon)
+		sys.Shutdown()
+		return traceSignature(sys.Rec, horizon), sys.Rec
+	}
+	sigP, recP := run(rtos.EngineProcedural)
+	sigT, recT := run(rtos.EngineThreaded)
+	if sigP != sigT {
+		t.Fatalf("traces diverge:\n%s", trace.Diff(recP, recT, horizon, 8))
+	}
+	for _, sc := range recP.StateChanges() {
+		if sc.Task == "claimant" && sc.State == trace.StateRunning {
+			if sc.Core != 2 || sc.At != 13*sim.Us {
+				t.Fatalf("claimant first ran on core %d at %v, want core 2 at 13us", sc.Core, sc.At)
+			}
+			return
+		}
+	}
+	t.Fatal("claimant never ran")
 }
 
 // TestEngineEquivalenceDeterminism re-runs one seed twice per engine and

@@ -399,9 +399,8 @@ func releaseJitter(name string, cycle int, max sim.Time) sim.Time {
 }
 
 // overheadDur evaluates one overhead duration formula against the snapshot
-// octx. Split from charge so a task driver can evaluate at the charge
-// instant, park for the duration on its strand timer, and record on wake —
-// the exact sequence charge performs inline on a thread.
+// octx. A charge evaluates it at its start instant, waits the duration out on
+// its host (a thread or a strand timer), and records on wake.
 func (cpu *Processor) overheadDur(kind trace.OverheadKind, octx OverheadCtx) sim.Time {
 	switch kind {
 	case trace.OverheadScheduling:
@@ -415,7 +414,7 @@ func (cpu *Processor) overheadDur(kind trace.OverheadKind, octx OverheadCtx) sim
 }
 
 // recordCharge books one completed overhead charge into the metrics and the
-// trace: the tail half of charge, shared with the task driver.
+// trace.
 func (cpu *Processor) recordCharge(kind trace.OverheadKind, t *Task, coreID int, start, end sim.Time) {
 	name := ""
 	if t != nil {
@@ -426,17 +425,4 @@ func (cpu *Processor) recordCharge(kind trace.OverheadKind, t *Task, coreID int,
 		cpu.met.ctxSwitches.Inc()
 	}
 	cpu.rec.OverheadOn(cpu.name, name, coreID, kind, start, end)
-}
-
-// charge consumes one overhead duration on thread p and records it. The
-// duration formula is evaluated at the charge instant. Zero durations are
-// recorded as zero-length segments (they still count context switches in the
-// statistics) without consuming a delta cycle.
-func (cpu *Processor) charge(p *sim.Proc, kind trace.OverheadKind, t *Task, octx OverheadCtx) {
-	d := cpu.overheadDur(kind, octx)
-	start := cpu.k.Now()
-	if d > 0 {
-		p.Wait(d)
-	}
-	cpu.recordCharge(kind, t, octx.Core, start, cpu.k.Now())
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // This file is the schedCore: the one implementation of election, dispatch,
-// preemption checking and overhead accounting shared by both engine
-// implementations. The engines (engine_proc.go, engine_thread.go) only decide
-// *when* and *by whom* these primitives run — the paper's section 4.1/4.2
-// comparison — never *what* they decide.
+// preemption checking, overhead accounting and the context-switch sequence
+// (stepSwitch) shared by both engine implementations. The engines
+// (engine_proc.go, engine_thread.go) only decide *when* and *by whom* these
+// primitives run — the paper's section 4.1/4.2 comparison — never *what*
+// they decide.
 
 // SchedDomain selects how a multi-core processor distributes its tasks.
 type SchedDomain uint8
@@ -159,8 +160,8 @@ func (q *readyQueue) removeOrderedAt(i int) *Task {
 // electOn runs the scheduling policy for core c and removes the winner from
 // its ready queue. Tasks holding a claim on another core are not eligible
 // (their claiming core is about to dispatch them). Returns nil when no
-// eligible task exists; panics on an empty queue (engines check first, and
-// the check is part of the pinned dispatch protocol).
+// eligible task exists; panics on an empty queue (stepSwitch checks first,
+// and the check is part of the pinned dispatch protocol).
 func (cpu *Processor) electOn(c *core) *Task {
 	e := cpu.electOn0(c)
 	if e != nil {
@@ -280,41 +281,125 @@ func (cpu *Processor) hasUnclaimedReady(c *core) bool {
 	return len(q.tasks) > q.claims
 }
 
-// dispatchOn runs the dispatch half of a context switch on the RTOS thread p
-// for core c: charge the scheduling duration, settle, elect, and grant the
-// winner its context load. With nothing ready (or every queued task claimed by another
-// core) the core goes idle. Returns the elected task, nil when none.
-func (cpu *Processor) dispatchOn(p *sim.Proc, c *core) *Task {
-	q := cpu.queueFor(c.id)
-	if len(q.tasks) == 0 {
-		c.switching = false
-		return nil
-	}
-	cpu.charge(p, trace.OverheadScheduling, nil, cpu.overheadCtxOn(c, nil))
-	p.WaitDelta() // settle before the election
-	if len(q.tasks) == 0 {
-		// Another core of a global domain drained the queue during the
-		// scheduling window: the decision found nothing to run.
-		c.switching = false
-		return nil
-	}
-	e := cpu.electOn(c)
-	if e == nil {
-		c.switching = false
-		return nil
-	}
-	e.grant(grantLoad, c.id)
-	return e
+// switchSeq is one context switch in flight on core c, and stepSwitch is the
+// one description of the RTOS switch sequence:
+//
+//	save(out) → settle → idle-if-empty → schedule → settle →
+//	release claim → idle-if-empty → elect
+//
+// Both engines execute these steps; they differ only in the host that waits
+// between them (the paper's section 4.1/4.2 comparison). The threaded
+// engine's RTOS thread blocks on each wait, paying a kernel activation per
+// resume (engine_thread.go); the procedural engine's task driver arms a
+// strand wake instead (engine_cont.go). A sequence without an outgoing task
+// (an idle core claimed by a ready task) starts at the settle. The settles
+// let same-instant arrivals join the ready queue — and be seen by the
+// overhead formulas — even with zero overhead; a core whose queue holds
+// nothing eligible goes idle.
+type switchSeq struct {
+	c *core
+	// out is the task that left c (charged the context save); nil when c
+	// was idle.
+	out *Task
+	// claimant is the task holding c's idle-core claim, if any. The claim is
+	// held across the scheduling window — elections on other cores keep
+	// skipping it — and released immediately before c's own election.
+	claimant *Task
+	// elected is the sequence's outcome once stepSwitch reports switchDone:
+	// the task to load onto c, nil when c went idle.
+	elected *Task
+
+	step  switchStep
+	start sim.Time // start instant of the overhead charge being waited out
 }
 
-// switchOutOn runs the outgoing half of a context switch on the RTOS thread
-// p: charge the context-save duration for task out leaving core c, settle so
-// same-instant arrivals join the ready queue, then dispatch. The task
-// driver's switch-out microprogram is the same sequence (engine_cont.go).
-func (cpu *Processor) switchOutOn(p *sim.Proc, c *core, out *Task) *Task {
-	cpu.charge(p, trace.OverheadContextSave, out, cpu.overheadCtxOn(c, out))
-	p.WaitDelta()
-	return cpu.dispatchOn(p, c)
+// switchStep is the position of a switchSeq: the step stepSwitch runs next.
+type switchStep uint8
+
+const (
+	stepSave switchStep = iota
+	stepSaved
+	stepSchedule
+	stepScheduled
+	stepElect
+	stepDone
+)
+
+// switchWait is what stepSwitch asks its host to do before the next step.
+type switchWait uint8
+
+const (
+	// switchDone: the sequence ended; switchSeq.elected holds its outcome.
+	switchDone switchWait = iota
+	// switchDelta: settle for one delta cycle.
+	switchDelta
+	// switchTime: wait out the returned overhead duration.
+	switchTime
+)
+
+// stepSwitch advances s to its next wait and returns it, with the duration
+// of a switchTime wait. Overhead formulas are evaluated when their charge
+// starts; a zero duration is recorded as a zero-length segment without
+// consuming a delta cycle.
+func (cpu *Processor) stepSwitch(s *switchSeq) (switchWait, sim.Time) {
+	c := s.c
+	for {
+		switch s.step {
+		case stepSave:
+			s.step = stepSaved
+			if s.out != nil {
+				s.start = cpu.k.Now()
+				if d := cpu.overheadDur(trace.OverheadContextSave, cpu.overheadCtxOn(c, s.out)); d > 0 {
+					return switchTime, d
+				}
+			}
+		case stepSaved:
+			if s.out != nil {
+				cpu.recordCharge(trace.OverheadContextSave, s.out, c.id, s.start, cpu.k.Now())
+			}
+			s.step = stepSchedule
+			return switchDelta, 0
+		case stepSchedule:
+			if len(cpu.queueFor(c.id).tasks) == 0 {
+				s.step = stepDone
+				continue
+			}
+			s.step = stepScheduled
+			s.start = cpu.k.Now()
+			if d := cpu.overheadDur(trace.OverheadScheduling, cpu.overheadCtxOn(c, nil)); d > 0 {
+				return switchTime, d
+			}
+		case stepScheduled:
+			cpu.recordCharge(trace.OverheadScheduling, nil, c.id, s.start, cpu.k.Now())
+			s.step = stepElect
+			return switchDelta, 0
+		case stepElect:
+			if s.claimant != nil {
+				cpu.clearClaim(s.claimant)
+			}
+			// Another core of a global domain may have drained the queue, or
+			// left only tasks it claimed, during the scheduling window.
+			if len(cpu.queueFor(c.id).tasks) > 0 {
+				s.elected = cpu.electOn(c)
+			}
+			s.step = stepDone
+		case stepDone:
+			if s.elected == nil {
+				c.switching = false
+			}
+			return switchDone, 0
+		}
+	}
+}
+
+// leaving reports whether t's own switch-out sequence is still in flight.
+// Until it ends, t is inside its RTOS call (the paper's TaskIsBlocked or
+// TaskIsPreempted), on either engine: a grant or an idle-core claim that
+// reaches t meanwhile takes effect when the sequence ends. The procedural
+// engine gets this from its host, the driver busy running the sequence; the
+// threaded engine's RTOS thread holds them back (engine_thread.go).
+func (t *Task) leaving() bool {
+	return t.drv.sw.out == t && t.drv.sw.step != stepDone
 }
 
 // finishDispatch completes a dispatch on the elected task's own driver: the
@@ -369,11 +454,17 @@ func (cpu *Processor) leaveRunning(t *Task, s trace.TaskState) *core {
 	return c
 }
 
+// decidesGlobally reports whether preemption is one decision across all
+// cores (a multi-core global domain) rather than one per core.
+func (cpu *Processor) decidesGlobally() bool {
+	return cpu.domain == DomainGlobal && len(cpu.cores) > 1
+}
+
 // checkPreemptOn re-examines the preemption decision visible from core c:
 // the shared decision across all cores in a multi-core global domain, core
 // c's own queue otherwise.
 func (cpu *Processor) checkPreemptOn(c *core) {
-	if cpu.domain == DomainGlobal && len(cpu.cores) > 1 {
+	if cpu.decidesGlobally() {
 		cpu.checkPreemptGlobal()
 		return
 	}
@@ -393,7 +484,7 @@ func (cpu *Processor) checkPreemptArrival(t *Task) {
 // reevaluateCores re-examines every core's scheduling decision after a
 // priority, deadline or preemption-mode change.
 func (cpu *Processor) reevaluateCores() {
-	if cpu.domain == DomainGlobal && len(cpu.cores) > 1 {
+	if cpu.decidesGlobally() {
 		cpu.checkPreemptGlobal()
 		return
 	}

@@ -291,3 +291,34 @@ func TestArtifactsRetainNoSlack(t *testing.T) {
 		}
 	}
 }
+
+// TestActivationCountsPerEngine pins the kernel activations each processor
+// engine pays on the shipped scenarios: the cost the paper's section 4
+// compares. The threaded engine's RTOS thread pays one activation per resume
+// of the switch sequence it hosts; the procedural engine runs the same
+// sequence on the task drivers and pays none (what remains there is the
+// hardware tasks). The report comparison masks activations, so this is the
+// guard on the threaded engine's cost.
+func TestActivationCountsPerEngine(t *testing.T) {
+	for _, tc := range []struct {
+		scenario             string
+		procedural, threaded uint64
+	}{
+		{"figure6.json", 2, 33},
+		{"periodic_rm.json", 0, 922},
+		{"producer_consumer.json", 0, 152},
+		{"continuation.json", 0, 317},
+		{"soc_bus.json", 39, 671},
+	} {
+		data := readScenario(t, tc.scenario)
+		for engine, want := range map[string]uint64{"procedural": tc.procedural, "threaded": tc.threaded} {
+			res, err := Run(data, Options{Engine: engine, NoStats: true, NoConstraints: true}, tc.scenario)
+			if err != nil {
+				t.Fatalf("%s -engine %s: %v", tc.scenario, engine, err)
+			}
+			if res.Activations != want {
+				t.Errorf("%s -engine %s: %d kernel activations, want %d", tc.scenario, engine, res.Activations, want)
+			}
+		}
+	}
+}
