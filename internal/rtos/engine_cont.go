@@ -305,7 +305,7 @@ func (d *contDriver) init() {
 
 func (d *contDriver) becomeReady() {
 	d.state = dcParked
-	d.cpu.eng.taskIsReady(d.t)
+	d.cpu.taskIsReady(d.t)
 	d.maybeGrant()
 }
 
@@ -644,7 +644,8 @@ func (d *contDriver) switchOut(s trace.TaskState, final contState) {
 	c := cpu.leaveRunning(t, s)
 	d.outFinal = final
 	d.sw = switchSeq{c: c, out: t}
-	if cpu.eng.switchOut(c, t) {
+	if cpu.rtk != nil {
+		cpu.rtk.switchOut(c, t)
 		d.finishOut()
 		return
 	}

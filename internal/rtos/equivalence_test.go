@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,8 +37,9 @@ func randomWorkload(seed int64, eng rtos.EngineKind, horizon sim.Time) (signatur
 	// Each core adds its own nanosecond offset to the overheads, so switch
 	// sequences on two cores do not end in the same instant. Which core acts
 	// first within one instant is a delta-cycle tie-break that legitimately
-	// differs between the engines' hosts (see smpWorkload); a single core
-	// gets overheadUnit exactly.
+	// differs between the engines' switch-sequence hosts (see smpWorkload);
+	// preemption is decided at the arrival on both. A single core gets
+	// overheadUnit exactly.
 	perCore := func(c rtos.OverheadCtx) sim.Time { return overheadUnit + sim.Time(c.Core)*7*sim.Ns }
 
 	sys := rtos.NewSystem()
@@ -173,10 +176,32 @@ func traceSignature(rec *trace.Recorder, end sim.Time) string {
 // procedural engine uses fewer kernel thread switches. This is precisely the
 // paper's claim that the optimization removes the RTOS thread "without
 // altering the model's possibilities".
+//
+// The seed set is 0..59 plus regression seeds that once diverged; the
+// environment variable RTOS_EQUIV_SEEDS=N widens it to seeds 0..N-1 for a
+// soak run (CI runs 10 000).
 func TestEngineEquivalence(t *testing.T) {
 	const horizon = 3 * sim.Ms
-	fasterCount, total := 0, 0
+	seeds := make([]int64, 0, 61)
 	for seed := int64(0); seed < 60; seed++ {
+		seeds = append(seeds, seed)
+	}
+	// 9256: one core, zero overhead; a hardware signal in the instant of a
+	// preemption request once queued two equal-priority tasks in opposite
+	// orders on the two engines.
+	seeds = append(seeds, 9256)
+	if v := os.Getenv("RTOS_EQUIV_SEEDS"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			t.Fatalf("RTOS_EQUIV_SEEDS=%q: want a positive seed count", v)
+		}
+		seeds = seeds[:0]
+		for seed := int64(0); seed < int64(n); seed++ {
+			seeds = append(seeds, seed)
+		}
+	}
+	fasterCount, total := 0, 0
+	for _, seed := range seeds {
 		sigP, actP, recP := randomWorkload(seed, rtos.EngineProcedural, horizon)
 		sigT, actT, recT := randomWorkload(seed, rtos.EngineThreaded, horizon)
 		if sigP != sigT {

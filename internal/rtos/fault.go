@@ -171,7 +171,7 @@ func (t *Task) requestAbort(reason string) {
 			if t.delayEvent != nil {
 				t.delayEvent.Cancel()
 			}
-			t.cpu.eng.taskIsReady(t)
+			t.cpu.taskIsReady(t)
 		}
 		// A task blocked in Delay wakes at its scheduled time and then
 		// aborts; a task blocked on a communication relation aborts when

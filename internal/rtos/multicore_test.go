@@ -28,8 +28,8 @@ var smpDomains = []rtos.SchedDomain{rtos.DomainPartitioned, rtos.DomainGlobal}
 // The workload deliberately avoids cross-core contention on shared objects:
 // on a multi-core processor, two cores reaching a mutex at the same simulated
 // instant are tie-broken by delta-cycle order, which legitimately differs
-// between the two engine mechanisms (the threaded engine's scheduler threads
-// add delta cycles — the very overhead the paper's section 4.2 removes).
+// between the two engines' switch-sequence hosts (the threaded engine's
+// scheduler threads run after the task drivers' methods of a delta cycle).
 // Cross-engine timing equivalence is asserted for workloads free of such
 // same-instant races; richer contention is exercised by smpContendedWorkload
 // under per-engine invariants instead.
@@ -80,9 +80,10 @@ func smpWorkload(seed int64, eng rtos.EngineKind, cores int, domain rtos.SchedDo
 		}
 	})
 	// The hardware period sits off the microsecond grid of the compute tasks:
-	// a signal arriving at the very instant a task blocks or is released makes
-	// the preemption decision a same-instant race, which the two engines
-	// resolve at different delta cycles (see the function comment).
+	// a signal arriving at the very instant a task on another core blocks or
+	// is released would make the two cores act in one instant, an order the
+	// two engines' hosts resolve at different delta cycles (see the function
+	// comment). Preemption itself is decided at the arrival on both engines.
 	period := sim.Time(73+2*rng.Intn(75))*sim.Us + 333*sim.Ns
 	sys.NewHWTask("hw", rtos.HWConfig{}, func(c *rtos.HWCtx) {
 		for {

@@ -7,12 +7,13 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the schedCore: the one implementation of election, dispatch,
-// preemption checking, overhead accounting and the context-switch sequence
-// (stepSwitch) shared by both engine implementations. The engines
-// (engine_proc.go, engine_thread.go) only decide *when* and *by whom* these
-// primitives run — the paper's section 4.1/4.2 comparison — never *what*
-// they decide.
+// This file is the schedCore: the one implementation of readiness,
+// election, dispatch, preemption checking, overhead accounting and the
+// context-switch sequence (stepSwitch) shared by both engine
+// implementations. The engines differ only in who hosts the switch sequence
+// — the task driver (engine_cont.go) or a per-core RTOS thread
+// (engine_thread.go), the paper's section 4.1/4.2 comparison — never in
+// what it decides.
 
 // SchedDomain selects how a multi-core processor distributes its tasks.
 type SchedDomain uint8
@@ -454,6 +455,44 @@ func (cpu *Processor) leaveRunning(t *Task, s trace.TaskState) *core {
 	return c
 }
 
+// taskIsReady is the paper's TaskIsReady primitive, executed in the caller's
+// context (another task, a hardware process, a sim.Method) on both engines.
+// It never consumes the caller's simulated time. If an eligible core is
+// idle, the task claims it and the claim's switch sequence runs on the
+// claimant's own driver (procedural engine, grantSchedLoad) or on that
+// core's RTOS thread (threaded engine). Otherwise, if the policy allows
+// preemption, the ready task "sends the TaskPreempt event to the running
+// task" — decided here, at the arrival, in every domain. On the threaded
+// engine the call also notifies RTKRun, as the paper's tasks "notify the
+// RTOS thread when they enter or leave the Waiting state".
+func (cpu *Processor) taskIsReady(t *Task) {
+	if t.state == trace.StateReady || t.state == trace.StateRunning || t.state == trace.StateTerminated {
+		return
+	}
+	cpu.enqueueReady(t)
+	if c := cpu.claimIdleCore(t); c == nil {
+		cpu.checkPreemptArrival(t)
+	} else if cpu.rtk == nil {
+		t.grant(grantSchedLoad, c.id)
+	}
+	cpu.rtk.wake()
+}
+
+// reevaluate re-examines every core's scheduling decision after a priority,
+// deadline or preemption-mode change, in the caller's context: one decision
+// across all cores in a multi-core global domain, one per core otherwise.
+// On the threaded engine the call notifies RTKRun too.
+func (cpu *Processor) reevaluate() {
+	if cpu.decidesGlobally() {
+		cpu.checkPreemptGlobal()
+	} else {
+		for i := range cpu.cores {
+			cpu.checkPreemptCore(&cpu.cores[i])
+		}
+	}
+	cpu.rtk.wake()
+}
+
 // decidesGlobally reports whether preemption is one decision across all
 // cores (a multi-core global domain) rather than one per core.
 func (cpu *Processor) decidesGlobally() bool {
@@ -479,18 +518,6 @@ func (cpu *Processor) checkPreemptArrival(t *Task) {
 		return
 	}
 	cpu.checkPreemptOn(&cpu.cores[0])
-}
-
-// reevaluateCores re-examines every core's scheduling decision after a
-// priority, deadline or preemption-mode change.
-func (cpu *Processor) reevaluateCores() {
-	if cpu.decidesGlobally() {
-		cpu.checkPreemptGlobal()
-		return
-	}
-	for i := range cpu.cores {
-		cpu.checkPreemptCore(&cpu.cores[i])
-	}
 }
 
 // checkPreemptCore requests preemption of core c's running task if the

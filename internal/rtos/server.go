@@ -184,7 +184,7 @@ func (cpu *Processor) NewDeferrableServer(name string, cfg ServerConfig) *Server
 	// Wake the server task on arrivals/replenishments.
 	cpu.k.NewMethod(name+".wake", func() {
 		if s.pending.Len() > 0 && available(cpu.k.Now()) > 0 {
-			cpu.eng.taskIsReady(s.task)
+			cpu.taskIsReady(s.task)
 		}
 	}, false, s.arrive)
 	return s
@@ -251,7 +251,7 @@ func (cpu *Processor) NewSporadicServer(name string, cfg ServerConfig) *Server {
 	})
 	cpu.k.NewMethod(name+".wake", func() {
 		if s.pending.Len() > 0 && budget > 0 {
-			cpu.eng.taskIsReady(s.task)
+			cpu.taskIsReady(s.task)
 		}
 	}, false, s.arrive)
 	return s

@@ -190,9 +190,9 @@ func (t *Task) BasePriority() int { return t.basePrio }
 // re-evaluated so a raised ready task may preempt the running one.
 func (t *Task) SetBasePriority(p int) {
 	t.basePrio = p
-	if t.cpu != nil && t.cpu.eng != nil {
+	if t.cpu != nil {
 		t.cpu.invalidateReadyBest()
-		t.cpu.eng.reevaluate()
+		t.cpu.reevaluate()
 	}
 }
 
@@ -276,7 +276,7 @@ func (t *Task) armDelayWake() *sim.Event {
 	if t.delayEvent == nil {
 		t.delayEvent = t.cpu.k.NewEvent(t.name + ".delay")
 		t.cpu.k.NewMethod(t.name+".delayWake", func() {
-			t.cpu.eng.taskIsReady(t)
+			t.cpu.taskIsReady(t)
 		}, false, t.delayEvent)
 	}
 	return t.delayEvent
@@ -371,7 +371,7 @@ func (c *TaskCtx) SetPriority(p int) { c.t.SetBasePriority(p) }
 func (c *TaskCtx) SetDeadline(at sim.Time) {
 	c.t.deadline = at
 	c.t.cpu.invalidateReadyBest()
-	c.t.cpu.eng.reevaluate()
+	c.t.cpu.reevaluate()
 }
 
 // SetDeadlineIn sets the task's deadline relative to the current time.
@@ -393,7 +393,7 @@ func (c *TaskCtx) EnablePreemption() {
 	}
 	t.noPreemptDepth--
 	if t.noPreemptDepth == 0 {
-		t.cpu.eng.reevaluate()
+		t.cpu.reevaluate()
 	}
 }
 
@@ -409,14 +409,14 @@ func (c *TaskCtx) Suspend(resource bool, object string) {
 // Resume makes a suspended task ready again (comm.Actor contract). It is
 // safe to call from any simulation context (another task, a hardware
 // process, a sim.Method) and never consumes the caller's simulated time.
-func (c *TaskCtx) Resume() { c.t.cpu.eng.taskIsReady(c.t) }
+func (c *TaskCtx) Resume() { c.t.cpu.taskIsReady(c.t) }
 
 // BoostPriority raises the task's effective priority to at least p
 // (priority-inheritance support for comm.Mutex).
 func (c *TaskCtx) BoostPriority(p int) {
 	c.t.boosts = append(c.t.boosts, p)
 	c.t.cpu.invalidateReadyBest()
-	c.t.cpu.eng.reevaluate()
+	c.t.cpu.reevaluate()
 }
 
 // UnboostPriority undoes the most recent BoostPriority.
@@ -427,5 +427,5 @@ func (c *TaskCtx) UnboostPriority() {
 	}
 	c.t.boosts = c.t.boosts[:n-1]
 	c.t.cpu.invalidateReadyBest()
-	c.t.cpu.eng.reevaluate()
+	c.t.cpu.reevaluate()
 }

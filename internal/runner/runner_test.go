@@ -304,11 +304,11 @@ func TestActivationCountsPerEngine(t *testing.T) {
 		scenario             string
 		procedural, threaded uint64
 	}{
-		{"figure6.json", 2, 33},
-		{"periodic_rm.json", 0, 922},
-		{"producer_consumer.json", 0, 152},
+		{"figure6.json", 2, 32},
+		{"periodic_rm.json", 0, 880},
+		{"producer_consumer.json", 0, 148},
 		{"continuation.json", 0, 317},
-		{"soc_bus.json", 39, 671},
+		{"soc_bus.json", 39, 666},
 	} {
 		data := readScenario(t, tc.scenario)
 		for engine, want := range map[string]uint64{"procedural": tc.procedural, "threaded": tc.threaded} {
