@@ -247,10 +247,10 @@ func (s *System) Partition(target int) (*ShardPlan, error) {
 	// both already enforced by use(); nothing further to union here.
 
 	// Resolve atoms and their shard labels.
-	atomOf := make([]int, nodes)       // node -> atom index
-	var atomRoots []int                // atom index -> root node
-	rootAtom := make(map[int]int, 8)   // root node -> atom index
-	atomLabel := make(map[int]string)  // atom index -> label
+	atomOf := make([]int, nodes)        // node -> atom index
+	var atomRoots []int                 // atom index -> root node
+	rootAtom := make(map[int]int, 8)    // root node -> atom index
+	atomLabel := make(map[int]string)   // atom index -> label
 	atomLabelBy := make(map[int]string) // atom index -> processor that set it
 	for n := 0; n < nodes; n++ {
 		r := p.d.find(n)

@@ -153,9 +153,8 @@ func BenchmarkManyWaiters(b *testing.B) {
 	k.Shutdown()
 }
 
-// timedStore is what the timing wheel and the binary heap (the wheel's
-// overflow store) have in common, so the benchmarks below can compare the
-// two structures directly.
+// timedStore is what the timing wheel and the reference binary heap have in
+// common, so the benchmarks below can compare the two structures directly.
 type timedStore interface {
 	alloc(at Time, seq uint64, e *Event, p *Proc) *timedEntry
 	release(e *timedEntry)

@@ -102,7 +102,7 @@ func (k *Kernel) timedPeek() *timedEntry {
 	if w.min != nil {
 		return w.min
 	}
-	if w.count == 0 && len(w.overflow.entries) == 0 {
+	if w.count == 0 {
 		return nil
 	}
 	return w.peek()

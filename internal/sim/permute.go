@@ -56,7 +56,7 @@ func (k *Kernel) SetTimedPermuter(p TimedPermuter) { k.permuter = p }
 func (k *Kernel) fireTimedBatch() {
 	batch := k.permBatch[:0]
 	for {
-		h := k.timedPeek() // prunes dead heads: drained entries are live
+		h := k.timedPeek()
 		if h == nil || h.at != k.now {
 			break
 		}

@@ -2,10 +2,28 @@ package sim
 
 import "math/bits"
 
-// timedWheel is the kernel's timed-notification queue: a hierarchical timing wheel with one-picosecond resolution, six levels of
-// 256 slots, and the binary heap as overflow storage for entries beyond the
-// wheel's span (256^6 ps ≈ 280 s ahead of the cursor). Schedule and cancel
-// are O(1); pop is O(1) on the dense path (level-0 slots) and amortizes the
+// timedEntry is a scheduled future action: either a timed event notification
+// (event != nil) or a process timeout wakeup (proc != nil).
+type timedEntry struct {
+	at    Time
+	seq   uint64 // insertion order; ties fire in scheduling order
+	event *Event
+	proc  *Proc
+	// dead marks an entry cancelled while drained into the kernel's
+	// same-instant firing batch (levelBatch).
+	dead bool
+
+	// Wheel location: the slot list links and where the entry lives
+	// (levelNone when not queued).
+	next, prev *timedEntry
+	level      int8
+	slot       uint8
+}
+
+// timedWheel is the kernel's timed-notification queue: a hierarchical
+// timing wheel with one-picosecond resolution and eight levels of 256 slots,
+// which span every non-negative Time (256^8 = 2^64). Schedule and cancel are
+// O(1); pop is O(1) on the dense path (level-0 slots) and amortizes the
 // occasional cascade over the entries it moves.
 //
 // Placement: an entry lands at the level of the highest base-256 digit where
@@ -21,10 +39,7 @@ import "math/bits"
 //   - a level >= 1 slot s cannot gain entries at levels below it while s is
 //     pending (that would require the cursor to carry s's digit, which only
 //     happens when s itself is popped and cascaded), so same-timestamp
-//     entries always share a slot in append order;
-//   - the overflow heap only holds entries differing from the cursor in a
-//     digit the wheel does not cover, which makes every overflow entry later
-//     than every wheel entry; the wheel consults it only when empty.
+//     entries always share a slot in append order.
 //
 // The cursor moves exclusively in pop — peek is read-only — so a run that
 // stops at its horizon leaves the wheel able to accept entries earlier than
@@ -32,28 +47,25 @@ import "math/bits"
 // peek-time cursor advance would break.
 type timedWheel struct {
 	cur   Time        // cursor: timestamp of the last popped entry
-	count int         // live entries in the wheel (overflow excluded)
+	count int         // live entries in the wheel
 	min   *timedEntry // cached earliest entry; nil means recompute on peek
 
 	slots [wheelLevels][wheelSlots]wheelSlot
 	occ   [wheelLevels][wheelSlots / 64]uint64 // occupancy bitmaps
 
-	overflow timedHeap // entries beyond the wheel's span
-
 	free []*timedEntry
 }
 
 const (
-	wheelLevels = 6
+	wheelLevels = 8
 	wheelSlots  = 256
 
-	levelNone = int8(-1)          // not queued (free, popped, or killed)
-	levelHeap = int8(wheelLevels) // parked in the overflow heap
+	levelNone = int8(-1) // not queued (free, popped, or killed)
 
 	// levelBatch marks an entry drained into the kernel's same-instant
-	// firing batch (permute.go). The entry is out of the wheel and its
-	// overflow heap but still referenced by the batch, so kill must only
-	// dead-mark it — the batch loop skips and recycles dead entries itself.
+	// firing batch (permute.go). The entry is out of the wheel but still
+	// referenced by the batch, so kill must only dead-mark it — the batch
+	// loop skips and recycles dead entries itself.
 	levelBatch = int8(-2)
 )
 
@@ -68,7 +80,7 @@ func newTimedWheel() *timedWheel {
 func digit(t Time, l int) int { return int(uint64(t)>>(uint(l)*8)) & 0xff }
 
 // diffLevel is the index of the highest base-256 digit where a and b differ
-// (0 when equal); values >= wheelLevels mean "outside the wheel's span".
+// (0 when equal); below wheelLevels for any two non-negative times.
 func diffLevel(a, b Time) int {
 	x := uint64(a) ^ uint64(b)
 	if x == 0 {
@@ -77,7 +89,7 @@ func diffLevel(a, b Time) int {
 	return (bits.Len64(x) - 1) >> 3
 }
 
-func (w *timedWheel) len() int { return w.count + w.overflow.len() }
+func (w *timedWheel) len() int { return w.count }
 
 func (w *timedWheel) alloc(at Time, seq uint64, e *Event, p *Proc) *timedEntry {
 	var entry *timedEntry
@@ -85,18 +97,11 @@ func (w *timedWheel) alloc(at Time, seq uint64, e *Event, p *Proc) *timedEntry {
 		entry = w.free[n-1]
 		w.free[n-1] = nil
 		w.free = w.free[:n-1]
-	} else if n := len(w.overflow.free); n > 0 {
-		// Dead overflow entries are recycled into the heap's own pool when
-		// they surface; pull from there before allocating fresh.
-		entry = w.overflow.free[n-1]
-		w.overflow.free[n-1] = nil
-		w.overflow.free = w.overflow.free[:n-1]
 	} else {
 		entry = new(timedEntry)
 	}
 	// Recycled entries come back with next/prev nil and level levelNone
-	// (release and heap.release reset them), so only the live fields need
-	// assigning.
+	// (release resets them), so only the live fields need assigning.
 	entry.at, entry.seq, entry.event, entry.proc = at, seq, e, p
 	entry.dead = false
 	entry.level = levelNone
@@ -110,24 +115,11 @@ func (w *timedWheel) release(e *timedEntry) {
 }
 
 func (w *timedWheel) push(e *timedEntry) {
-	l := diffLevel(e.at, w.cur)
-	if l >= wheelLevels {
-		e.level = levelHeap
-		w.overflow.push(e)
-		// A later-than-span entry can still be the minimum, but only when the
-		// wheel is empty and the cached min is another overflow entry; the
-		// general rule below covers that case too (an overflow entry is never
-		// earlier than a wheel entry).
-		if w.min != nil && e.at < w.min.at {
-			w.min = e
-		}
-		return
-	}
-	w.insert(e, l)
+	w.insert(e, diffLevel(e.at, w.cur))
 	if w.min == nil {
 		// Cheap single-timer fast path: pushing into an empty structure makes
 		// this entry the minimum without a scan. Otherwise stay lazy.
-		if w.count == 1 && len(w.overflow.entries) == w.overflow.dead {
+		if w.count == 1 {
 			w.min = e
 		}
 	} else if e.at < w.min.at {
@@ -193,8 +185,7 @@ func (w *timedWheel) peek() *timedEntry {
 		return w.min
 	}
 	if w.count == 0 {
-		w.min = w.overflow.peek()
-		return w.min
+		return nil
 	}
 	if s := w.findSlot(0); s >= 0 {
 		// Level-0 slot-mates share one timestamp; the head has the lowest seq.
@@ -223,29 +214,10 @@ func (w *timedWheel) peek() *timedEntry {
 
 // pop removes and returns the earliest entry; callers must check peek first.
 // Popping is the only operation that advances the cursor, and a cursor jump
-// re-places exactly the popped entry's slot-mates (for the overflow path:
-// every overflow entry now within span).
+// re-places exactly the popped entry's slot-mates.
 func (w *timedWheel) pop() *timedEntry {
 	e := w.peek()
 	w.min = nil
-	if e.level == levelHeap {
-		w.overflow.pop() // peek pruned dead heads, so this pops e itself
-		e.level = levelNone
-		w.cur = e.at
-		for {
-			h := w.overflow.peek()
-			if h == nil {
-				break
-			}
-			l := diffLevel(h.at, w.cur)
-			if l >= wheelLevels {
-				break
-			}
-			w.overflow.pop()
-			w.insert(h, l)
-		}
-		return e
-	}
 	l, s := int(e.level), int(e.slot)
 	w.unlink(e)
 	w.cur = e.at
@@ -279,18 +251,13 @@ func (w *timedWheel) cascade(l, s int) {
 
 // kill cancels a scheduled entry. Wheel entries unlink in O(1) and recycle
 // immediately (the caller drops its pointer, as Kernel.cancelTimed requires);
-// overflow entries are dead-marked for the heap to discard lazily.
+// entries drained into the firing batch are dead-marked for the batch loop.
 func (w *timedWheel) kill(e *timedEntry) {
 	switch e.level {
 	case levelNone:
 		return
 	case levelBatch:
 		e.dead = true
-	case levelHeap:
-		if w.min == e {
-			w.min = nil
-		}
-		w.overflow.kill(e)
 	default:
 		if w.min == e {
 			w.min = nil

@@ -8,7 +8,7 @@ import (
 // wheelRef drives a timedWheel and a timedHeap through the same operation
 // sequence and asserts they stay observationally identical: same length, same
 // peek, same pop order. The wheel's correctness argument (exact (at, seq)
-// order despite slots, cascades and the overflow heap) is subtle enough to
+// order despite slots and cascades) is subtle enough to
 // deserve a brute-force check against the simple structure.
 type wheelRef struct {
 	t     *testing.T
@@ -80,7 +80,7 @@ func (r *wheelRef) forget(seq uint64) {
 // them lazily, while the wheel unlinks its own entries immediately — so the
 // invariant is on entries that are still alive.
 func (r *wheelRef) check() {
-	wl := r.wheel.count + len(r.wheel.overflow.entries) - r.wheel.overflow.dead
+	wl := r.wheel.count
 	hl := len(r.heap.entries) - r.heap.dead
 	if wl != len(r.live) || hl != len(r.live) {
 		r.t.Fatalf("live counts disagree: wheel %d, heap %d, want %d", wl, hl, len(r.live))
@@ -89,7 +89,8 @@ func (r *wheelRef) check() {
 
 // TestWheelMatchesHeapRandomized is the backend-equivalence property at the
 // data-structure level: across random interleavings of pushes (including
-// duplicate timestamps and beyond-span outliers), pops and cancellations, the
+// duplicate timestamps and far outliers up to the top level), pops and
+// cancellations, the
 // wheel must produce exactly the heap's (at, seq) order.
 func TestWheelMatchesHeapRandomized(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -105,10 +106,16 @@ func TestWheelMatchesHeapRandomized(t *testing.T) {
 			case 3, 4:
 				// Wider horizons exercising levels 1-3...
 				at := cur + Time(rng.Int63n(int64(Us)*1000))
-				if rng.Intn(20) == 0 {
-					// ...with occasional outliers beyond the wheel's span
-					// that land in the overflow heap.
+				switch rng.Intn(40) {
+				case 0:
+					// ...with occasional outliers at levels 5-6...
 					at = cur + Time(rng.Int63n(int64(Sec)))*300
+				case 1:
+					// ...and at the top level 7 (bits 56-62), kept below
+					// TimeMax so later pushes cannot overflow.
+					if cur < TimeMax/2 {
+						at = cur + Time(rng.Int63n(int64(TimeMax/4)))
+					}
 				}
 				r.push(at)
 			case 5, 6, 7:
@@ -136,7 +143,7 @@ func TestWheelMatchesHeapRandomized(t *testing.T) {
 // scheduled for the same instant pop in schedule order, including when the
 // shared timestamp sits in a high-level slot that cascades on pop.
 func TestWheelSeqFIFOWithinTimestamp(t *testing.T) {
-	for _, at := range []Time{0, 100, 255, 256, 65536, 1 << 40} {
+	for _, at := range []Time{0, 100, 255, 256, 65536, 1 << 40, TimeMax} {
 		w := newTimedWheel()
 		const n = 32
 		for i := uint64(1); i <= n; i++ {
@@ -179,47 +186,6 @@ func TestWheelPushEarlierThanPendingHead(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowSpan exercises the wheel/heap boundary: entries whose
-// timestamp differs from the cursor in a digit the wheel does not cover park
-// in the overflow heap, are popped in correct order when they become the
-// minimum, and migrate into the wheel once a pop rebases the cursor into
-// their region.
-func TestWheelOverflowSpan(t *testing.T) {
-	w := newTimedWheel()
-	span := Time(1) << 48 // 256^6
-	inside := w.alloc(span-1, 1, nil, nil)
-	first := w.alloc(span+5, 2, nil, nil)
-	second := w.alloc(span+10, 3, nil, nil)
-	w.push(inside)
-	w.push(first)
-	w.push(second)
-	if first.level != levelHeap || second.level != levelHeap {
-		t.Fatalf("beyond-span entries levels = %d, %d, want heap", first.level, second.level)
-	}
-	if e := w.pop(); e != inside {
-		t.Fatalf("pop = %+v, want inside entry", e)
-	}
-	// The cursor (span-1) still differs from span+5 in the top digit, so the
-	// outliers stay in the heap but remain the wheel's head.
-	if e := w.peek(); e != first {
-		t.Fatalf("peek = %+v, want first outlier", e)
-	}
-	// Popping the first outlier rebases the cursor to span+5; the second
-	// outlier is now within span and must migrate out of the heap.
-	if e := w.pop(); e != first {
-		t.Fatalf("pop = %+v, want first outlier", e)
-	}
-	if second.level == levelHeap {
-		t.Fatalf("second outlier still in heap after rebase (level %d)", second.level)
-	}
-	if e := w.pop(); e != second {
-		t.Fatalf("pop = %+v, want second outlier", e)
-	}
-	if w.peek() != nil || w.len() != 0 {
-		t.Fatalf("wheel not empty after drain: len %d", w.len())
-	}
-}
-
 // TestWheelKillUnlinksImmediately pins the O(1) cancellation contract: a
 // killed wheel entry is recycled on the spot (not dead-marked), and killing
 // the cached minimum forces a correct recompute.
@@ -248,8 +214,8 @@ func TestWheelKillUnlinksImmediately(t *testing.T) {
 }
 
 // TestAllocsPerWheelScheduleFireCancel extends the zero-allocation pin to the
-// timing wheel across all three entry fates: fired level-0 timers, cancelled
-// timers, and overflow traffic are all freelist-recycled.
+// timing wheel across its entry fates: fired timers and cancelled timers are
+// all freelist-recycled.
 func TestAllocsPerWheelScheduleFireCancel(t *testing.T) {
 	k := newMeteredKernel()
 	e := k.NewEvent("e")
