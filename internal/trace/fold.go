@@ -456,15 +456,12 @@ func (f *fold) coreStats(end sim.Time) []CoreStats {
 // foldAt returns a fold that can be closed at end: the live one when end is
 // no earlier than the trace end, else the stored records up to end replayed
 // into a fresh fold. op names the caller in the refusal when the records
-// needed for the replay were not stored or were dropped by SetLimit.
+// needed for the replay were not stored.
 func (r *Recorder) foldAt(op string, end sim.Time) *fold {
 	if end >= r.end {
 		return &r.fold
 	}
 	r.mustStore(fmt.Sprintf("%s(%v) before the trace end %v", op, end, r.end))
-	if r.dropped > 0 {
-		panic(fmt.Sprintf("trace: %s(%v) before the trace end %v: SetLimit dropped %d records", op, end, r.end, r.dropped))
-	}
 	return r.replay(end)
 }
 

@@ -331,37 +331,6 @@ func TestMergeRefusesSharedNames(t *testing.T) {
 	}
 }
 
-// TestSetLimitStatsCoverWholeRun: the record cap bounds the stored window
-// only; statistics from the trace end onwards still cover the whole run,
-// and an earlier window, which would need the dropped records, refuses.
-func TestSetLimitStatsCoverWholeRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	evs := genStream(rng, "", 40)
-	full := record(evs, true)
-	clk := &fakeClock{}
-	capped := NewRecorder(clk.Now)
-	capped.SetLimit(4)
-	for _, e := range evs {
-		clk.now = e.at
-		e.rec(capped)
-	}
-	if capped.Dropped() == 0 {
-		t.Fatal("the cap dropped nothing; the test needs a longer stream")
-	}
-	end := full.End()
-	for _, e := range []sim.Time{0, end, end + 3} {
-		if got, want := capped.ComputeStats(e), full.ComputeStats(e); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ComputeStats(%v) with SetLimit differs from the full trace", e)
-		}
-		if got, want := capped.CoreStats(e), full.CoreStats(e); !reflect.DeepEqual(got, want) {
-			t.Fatalf("CoreStats(%v) with SetLimit differs from the full trace", e)
-		}
-	}
-	if msg := mustPanic(t, "ComputeStats before the end of a capped trace", func() { capped.ComputeStats(end - 1) }); !strings.Contains(msg, "SetLimit dropped") {
-		t.Errorf("refused with %q", msg)
-	}
-}
-
 // TestFoldDoesNotAllocatePerRecord: once every task, object, processor and
 // core has been seen, recording into a statistics-only recorder allocates
 // nothing.

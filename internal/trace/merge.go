@@ -26,7 +26,6 @@ func MergeRecorders(recs []*Recorder, end sim.Time) *Recorder {
 		folds = append(folds, &r.fold)
 		out.store = out.store && r.store
 		out.faults = append(out.faults, r.faults...)
-		out.dropped += r.dropped
 	}
 	out.fold = mergeFolds(folds)
 	// Per-shard streams are already chronological; a stable sort by

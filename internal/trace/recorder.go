@@ -88,10 +88,7 @@ type FaultRecord struct {
 // A Recorder is bound to a simulation clock at construction; record methods
 // timestamp with the current simulated time.
 //
-// By default the stored trace grows without bound with the simulation.
-// Long-running simulations that only need the recent past can cap it with
-// SetLimit; Reserve pre-sizes the buffers so a simulation of a known
-// magnitude records without growth reallocations.
+// The stored trace grows with the simulation: every record is one append.
 type Recorder struct {
 	now func() sim.Time
 	// store keeps the record streams below (faults excepted: they are
@@ -104,11 +101,6 @@ type Recorder struct {
 	depths     []DepthSample
 	faults     []FaultRecord
 	migrations []Migration
-
-	// limit caps each record category to the most recent limit entries
-	// (0: unbounded); dropped counts records discarded by the cap.
-	limit   int
-	dropped uint64
 
 	fold
 }
@@ -155,85 +147,6 @@ func (r *Recorder) mustStore(op string) {
 	}
 }
 
-// Reserve pre-sizes the recorder's buffers for a simulation expected to
-// produce about the given numbers of state changes, overhead segments and
-// communication accesses, eliminating growth reallocations during the run.
-// It does nothing on a recorder that does not store.
-func (r *Recorder) Reserve(stateChanges, overheads, accesses int) {
-	if r == nil || !r.store {
-		return
-	}
-	if stateChanges > cap(r.changes) {
-		r.changes = append(make([]StateChange, 0, stateChanges), r.changes...)
-	}
-	if overheads > cap(r.overheads) {
-		r.overheads = append(make([]OverheadSegment, 0, overheads), r.overheads...)
-	}
-	if accesses > cap(r.accesses) {
-		r.accesses = append(make([]Access, 0, accesses), r.accesses...)
-	}
-}
-
-// SetLimit caps every stored record category to the most recent n entries
-// (ring mode): long simulations keep a bounded window of trace history
-// instead of growing without bound. Older records are discarded and counted
-// by Dropped. Renderers and Segments/StateAt then only see the retained
-// window; the statistics fold still covers the whole run, so ComputeStats
-// from the trace end onwards is unaffected, while ComputeStats over an
-// earlier window refuses once records were dropped. n <= 0 removes the cap.
-func (r *Recorder) SetLimit(n int) {
-	if r == nil {
-		return
-	}
-	if n <= 0 {
-		n = 0
-	}
-	r.limit = n
-	r.changes = trimTail(r.changes, n, &r.dropped)
-	r.overheads = trimTail(r.overheads, n, &r.dropped)
-	r.accesses = trimTail(r.accesses, n, &r.dropped)
-	r.depths = trimTail(r.depths, n, &r.dropped)
-	r.faults = trimTail(r.faults, n, &r.dropped)
-	r.migrations = trimTail(r.migrations, n, &r.dropped)
-}
-
-// Limit returns the per-category record cap (0: unbounded).
-func (r *Recorder) Limit() int {
-	if r == nil {
-		return 0
-	}
-	return r.limit
-}
-
-// Dropped returns how many records the SetLimit cap has discarded so far —
-// zero means the stored trace is complete.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
-
-// capped applies the ring-mode cap after an append: once a category reaches
-// twice the limit, the oldest half is discarded in one copy, keeping the
-// most recent limit entries with amortized O(1) cost and no reallocation.
-func capped[T any](s []T, limit int, dropped *uint64) []T {
-	if limit <= 0 || len(s) < 2*limit {
-		return s
-	}
-	return trimTail(s, limit, dropped)
-}
-
-// trimTail keeps the most recent limit entries of s in place.
-func trimTail[T any](s []T, limit int, dropped *uint64) []T {
-	if limit <= 0 || len(s) <= limit {
-		return s
-	}
-	*dropped += uint64(len(s) - limit)
-	n := copy(s, s[len(s)-limit:])
-	return s[:n]
-}
-
 // Now returns the recorder's current timestamp source value.
 func (r *Recorder) Now() sim.Time {
 	if r == nil {
@@ -256,7 +169,7 @@ func (r *Recorder) TaskStateOn(task, cpu string, core int, state TaskState) {
 	at := r.now()
 	r.change(r.listTask(task), at, cpu, core, state)
 	if r.store {
-		r.changes = capped(append(r.changes, StateChange{At: at, Task: task, CPU: cpu, Core: core, State: state}), r.limit, &r.dropped)
+		r.changes = append(r.changes, StateChange{At: at, Task: task, CPU: cpu, Core: core, State: state})
 	}
 }
 
@@ -269,9 +182,9 @@ func (r *Recorder) Migrate(task, cpu string, from, to int) {
 	at := r.now()
 	r.migrate(cpu, to, at)
 	if r.store {
-		r.migrations = capped(append(r.migrations, Migration{
+		r.migrations = append(r.migrations, Migration{
 			At: at, Task: task, CPU: cpu, From: from, To: to,
-		}), r.limit, &r.dropped)
+		})
 	}
 }
 
@@ -297,9 +210,9 @@ func (r *Recorder) OverheadOn(cpu, task string, core int, kind OverheadKind, sta
 	}
 	r.overhead(cpu, task, kind, start, end)
 	if r.store {
-		r.overheads = capped(append(r.overheads, OverheadSegment{
+		r.overheads = append(r.overheads, OverheadSegment{
 			CPU: cpu, Task: task, Core: core, Kind: kind, Start: start, End: end,
-		}), r.limit, &r.dropped)
+		})
 	}
 }
 
@@ -311,7 +224,7 @@ func (r *Recorder) Access(actor, object string, kind AccessKind) {
 	at := r.now()
 	r.access(object, kind, at)
 	if r.store {
-		r.accesses = capped(append(r.accesses, Access{At: at, Actor: actor, Object: object, Kind: kind}), r.limit, &r.dropped)
+		r.accesses = append(r.accesses, Access{At: at, Actor: actor, Object: object, Kind: kind})
 	}
 }
 
@@ -324,9 +237,9 @@ func (r *Recorder) Fault(kind FaultEventKind, task, label, detail string) {
 	}
 	at := r.now()
 	r.advance(at)
-	r.faults = capped(append(r.faults, FaultRecord{
+	r.faults = append(r.faults, FaultRecord{
 		At: at, Kind: kind, Task: task, Label: label, Detail: detail,
-	}), r.limit, &r.dropped)
+	})
 }
 
 // FaultEvents returns all recorded fault-subsystem events in chronological
@@ -346,7 +259,7 @@ func (r *Recorder) Depth(object string, depth, capacity int) {
 	at := r.now()
 	r.depth(object, depth, capacity, at)
 	if r.store {
-		r.depths = capped(append(r.depths, DepthSample{At: at, Object: object, Depth: depth, Capacity: capacity}), r.limit, &r.dropped)
+		r.depths = append(r.depths, DepthSample{At: at, Object: object, Depth: depth, Capacity: capacity})
 	}
 }
 
