@@ -331,6 +331,38 @@ func TestSummarizeAndTable(t *testing.T) {
 	}
 }
 
+// TestSummarizeMinEndAtZero: a run that ends quiescent at 0 s is a real
+// minimum end, not an unset one. The only task body is one signal, so with
+// zero overheads the run ends at 0 s and with 1us overheads at 3us.
+func TestSummarizeMinEndAtZero(t *testing.T) {
+	const signalOnce = `{
+	"name": "signal-once",
+	"processors": [{"name": "cpu0", "policy": "priority"}],
+	"events": [{"name": "ev"}],
+	"tasks": [
+		{"name": "t", "processor": "cpu0", "priority": 1, "body": [{"op": "signal", "event": "ev"}]}
+	]
+}`
+	spec, err := ParseSpec([]byte(`{
+	"engines": ["procedural", "threaded"],
+	"overheads": [
+		{"scheduling": "0us", "contextSave": "0us", "contextLoad": "0us"},
+		{"scheduling": "1us", "contextSave": "1us", "contextLoad": "1us"}
+	]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := spec.Sweep([]byte(signalOnce), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := Summarize(results)
+	if sum.Failures != 0 || sum.MinEnd != 0 || sum.MaxEnd != 3*sim.Us {
+		t.Fatalf("summary = %+v, want no failures and ends 0s .. 3us", sum)
+	}
+}
+
 func TestForEachCtxCancel(t *testing.T) {
 	// Cancelling mid-dispatch stops new work: with a serial pool that
 	// cancels the context from inside the third call, indices past it are

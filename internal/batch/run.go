@@ -277,6 +277,7 @@ type Summary struct {
 func Summarize(results []Result) Summary {
 	var s Summary
 	s.Runs = len(results)
+	ok := 0
 	for _, r := range results {
 		if r.Err != "" {
 			s.Failures++
@@ -285,14 +286,17 @@ func Summarize(results []Result) Summary {
 		s.TotalMisses += r.Metrics.DeadlineMisses
 		s.TotalViolations += r.Metrics.Violations
 		s.MeanUtilization += r.Metrics.Utilization
-		if s.MinEnd == 0 || r.Metrics.End < s.MinEnd {
+		// A run may end at 0 s, so the first successful run sets the
+		// minimum rather than a zero MinEnd.
+		if ok == 0 || r.Metrics.End < s.MinEnd {
 			s.MinEnd = r.Metrics.End
 		}
 		if r.Metrics.End > s.MaxEnd {
 			s.MaxEnd = r.Metrics.End
 		}
+		ok++
 	}
-	if ok := s.Runs - s.Failures; ok > 0 {
+	if ok > 0 {
 		s.MeanUtilization /= float64(ok)
 	}
 	return s
